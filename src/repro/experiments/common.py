@@ -33,11 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.experiments.disk_cache import (
-    DiskCache,
-    config_fingerprint,
-    point_fingerprint,
-)
+from repro.experiments.disk_cache import DiskCache, point_fingerprint
 from repro.obs import Observability
 from repro.system.config import SoCConfig
 from repro.system.designs import MMUDesign
@@ -45,15 +41,8 @@ from repro.system.run import SimulationResult, simulate
 from repro.workloads import registry
 from repro.workloads.trace import Trace
 
-#: Memo key: (workload, scale, design name, track_lifetimes,
-#: check_invariants, config hash).  The config hash is load-bearing —
-#: without it, mutating ``cache.config`` between runs would silently
-#: serve stale results; ``check_invariants`` is keyed because audited
-#: runs carry an extra ``invariants.audits`` counter.
-
 __all__ = [
     "ALL_WORKLOADS",
-    "CacheKey",
     "GLOBAL_CACHE",
     "HIGH_BANDWIDTH",
     "LOW_BANDWIDTH",
@@ -64,14 +53,12 @@ __all__ = [
     "resolve_workloads",
 ]
 
-CacheKey = Tuple[str, float, str, bool, bool, str]
-
 #: A design point: (workload, design) or (workload, design, track_lifetimes).
 Point = Tuple
 
 #: One missing design point, carried through the fault-tolerant runner:
-#: (memo key, workload, design, track_lifetimes, disk fingerprint).
-_Missing = Tuple[CacheKey, str, MMUDesign, bool, str]
+#: (fingerprint, workload, design, track_lifetimes).
+_Missing = Tuple[str, str, MMUDesign, bool]
 
 
 @dataclass(frozen=True)
@@ -149,7 +136,16 @@ def _simulate_point(
 
 @dataclass
 class ResultCache:
-    """Memoizes simulation results keyed by (workload, scale, design, config).
+    """Memoizes simulation results keyed by the point fingerprint.
+
+    The memo key is :func:`~repro.experiments.disk_cache.point_fingerprint`
+    — workload, scale, the full design, ``track_lifetimes``,
+    ``check_invariants`` and the ``SoCConfig`` — the identity the disk
+    tier, checkpoints and the service's single-flight map and hash ring
+    already share.  Two designs that share a name but differ in any
+    field are two points, and a caller holding a fingerprint can read
+    the memo (:meth:`memoized`) without the cache's current ``scale``
+    or ``config``.
 
     An :class:`~repro.obs.Observability` bundle attached as ``obs`` is
     threaded through every hierarchy built and every ``simulate()``
@@ -180,10 +176,14 @@ class ResultCache:
     point_timeout: Optional[float] = None
     point_retries: int = 2
     retry_backoff: float = 0.5
-    _results: Dict[CacheKey, SimulationResult] = field(default_factory=dict)
+    #: The memo: point fingerprint → result.  The fingerprint covers the
+    #: config and scale, so mutating ``config`` or ``scale`` between runs
+    #: never serves a stale result, and the full design, so an inline
+    #: design that reuses a preset's name is a point of its own.
+    _results: Dict[str, SimulationResult] = field(default_factory=dict)
     # Strong refs to the hierarchies behind memoized results; results
     # themselves hold only weak refs, so clear() genuinely frees them.
-    _hierarchies: Dict[CacheKey, object] = field(default_factory=dict)
+    _hierarchies: Dict[str, object] = field(default_factory=dict)
     _disk: Optional[DiskCache] = field(default=None, repr=False)
     #: Simulations actually executed (memo/disk hits excluded).
     simulations_run: int = 0
@@ -200,17 +200,20 @@ class ResultCache:
         return profiler.span(name) if profiler is not None else nullcontext()
 
     # -- cache keys -------------------------------------------------------
-    def _key(self, workload: str, design: MMUDesign,
-             track_lifetimes: bool) -> CacheKey:
-        return (workload, self.effective_scale(), design.name,
-                track_lifetimes, self.check_invariants,
-                config_fingerprint(self.config))
-
     def _fingerprint(self, workload: str, design: MMUDesign,
                      track_lifetimes: bool) -> str:
         return point_fingerprint(workload, self.effective_scale(), design,
                                  track_lifetimes, self.config,
                                  check_invariants=self.check_invariants)
+
+    def memoized(self, fingerprint: str) -> Optional[SimulationResult]:
+        """The memo entry for a point fingerprint, or ``None``.
+
+        One dict read: safe from a thread other than the one running
+        the cache, and independent of the cache's current ``scale`` and
+        ``config``.
+        """
+        return self._results.get(fingerprint)
 
     def _disk_cache(self) -> Optional[DiskCache]:
         if self.cache_dir is None:
@@ -245,23 +248,24 @@ class ResultCache:
         experiment inspect it) — a slim memo/disk record without one is
         re-simulated rather than served.
         """
-        key = self._key(workload, design, track_lifetimes)
-        result = self._results.get(key)
+        fingerprint = self._fingerprint(workload, design, track_lifetimes)
+        result = self._results.get(fingerprint)
         if result is not None:
-            if not need_hierarchy or self._hierarchies.get(key) is not None:
+            if (not need_hierarchy
+                    or self._hierarchies.get(fingerprint) is not None):
                 return result
         elif not need_hierarchy:
             disk = self._disk_cache()
             if disk is not None:
-                cached = disk.load(
-                    self._fingerprint(workload, design, track_lifetimes))
+                cached = disk.load(fingerprint)
                 if cached is not None:
-                    self._results[key] = cached
+                    self._results[fingerprint] = cached
                     return cached
-        return self._simulate_into_cache(key, workload, design, track_lifetimes)
+        return self._simulate_into_cache(
+            fingerprint, workload, design, track_lifetimes)
 
     def _simulate_into_cache(
-        self, key: CacheKey, workload: str, design: MMUDesign,
+        self, fingerprint: str, workload: str, design: MMUDesign,
         track_lifetimes: bool,
     ) -> SimulationResult:
         trace = self.trace(workload)
@@ -276,12 +280,11 @@ class ResultCache:
                 check_invariants=self.check_invariants,
             )
         self.simulations_run += 1
-        self._results[key] = result
-        self._hierarchies[key] = hierarchy
+        self._results[fingerprint] = result
+        self._hierarchies[fingerprint] = hierarchy
         disk = self._disk_cache()
         if disk is not None:
-            disk.store(self._fingerprint(workload, design, track_lifetimes),
-                       result)
+            disk.store(fingerprint, result)
         return result
 
     @staticmethod
@@ -349,35 +352,36 @@ class ResultCache:
         # Collect points not already memoized (deduplicated, in order),
         # serving checkpointed and disk-cached results along the way.
         disk = self._disk_cache()
+        fingerprints = [self._fingerprint(w, d, tl) for w, d, tl in normalized]
         missing: List[_Missing] = []
         seen = set()
-        for workload, design, track_lifetimes in normalized:
-            key = self._key(workload, design, track_lifetimes)
-            if key in self._results or key in seen:
+        for fingerprint, (workload, design, track_lifetimes) in zip(
+                fingerprints, normalized):
+            if fingerprint in self._results or fingerprint in seen:
                 continue
-            fingerprint = self._fingerprint(workload, design, track_lifetimes)
             resumed = completed.get(fingerprint)
             if isinstance(resumed, SimulationResult):
-                self._results[key] = resumed
+                self._results[fingerprint] = resumed
                 continue
             if disk is not None:
                 cached = disk.load(fingerprint)
                 if cached is not None:
-                    self._results[key] = cached
+                    self._results[fingerprint] = cached
                     if store is not None:
                         store.append(fingerprint, cached)
                     continue
-            seen.add(key)
-            missing.append((key, workload, design, track_lifetimes, fingerprint))
+            seen.add(fingerprint)
+            missing.append((fingerprint, workload, design, track_lifetimes))
 
         if jobs == 1 or len(missing) <= 1:
-            for key, workload, design, track_lifetimes, fingerprint in missing:
+            for fingerprint, workload, design, track_lifetimes in missing:
                 if use_ctx is not None:
                     result = self._simulate_traced(
-                        key, workload, design, track_lifetimes, use_ctx)
+                        fingerprint, workload, design, track_lifetimes,
+                        use_ctx)
                 else:
                     result = self._simulate_into_cache(
-                        key, workload, design, track_lifetimes)
+                        fingerprint, workload, design, track_lifetimes)
                 if store is not None:
                     store.append(fingerprint, result)
         elif missing:
@@ -386,12 +390,10 @@ class ResultCache:
             self.obs.tracer.emit(
                 "span", _time.time(), name="cache.run_many",
                 n_points=len(missing), **use_ctx.span_fields())
-        return [
-            self._results[self._key(w, d, tl)] for w, d, tl in normalized
-        ]
+        return [self._results[fingerprint] for fingerprint in fingerprints]
 
     def _simulate_traced(
-        self, key: CacheKey, workload: str, design: MMUDesign,
+        self, fingerprint: str, workload: str, design: MMUDesign,
         track_lifetimes: bool, ctx,
     ) -> SimulationResult:
         """Serial simulation under a child span of ``ctx``.
@@ -407,7 +409,7 @@ class ResultCache:
         wall_start = _time.perf_counter()
         try:
             result = self._simulate_into_cache(
-                key, workload, design, track_lifetimes)
+                fingerprint, workload, design, track_lifetimes)
         finally:
             self.obs = saved_obs
         saved_obs.tracer.emit(
@@ -432,19 +434,19 @@ class ResultCache:
         # inherit the memoized traces instead of regenerating one per
         # process (and spawn-based platforms still regenerate the same
         # deterministic trace from (name, scale)).
-        for workload in dict.fromkeys(w for _, w, _, _, _ in missing):
+        for workload in dict.fromkeys(w for _, w, _, _ in missing):
             self.trace(workload)
         collect_metrics = self.obs is not None
         scale = self.effective_scale()
         disk = self._disk_cache()
         workers = min(jobs, len(missing))
-        metrics_by_key: Dict[CacheKey, object] = {}
+        metrics_by_key: Dict[str, object] = {}
         # One child span per point, minted up front so a retried point
         # keeps its span identity across rounds.
-        ctx_by_key: Dict[CacheKey, object] = {}
+        ctx_by_key: Dict[str, object] = {}
         if trace_ctx is not None:
             ctx_by_key = {entry[0]: trace_ctx.child() for entry in missing}
-        attempts: Dict[CacheKey, int] = {entry[0]: 0 for entry in missing}
+        attempts: Dict[str, int] = {entry[0]: 0 for entry in missing}
         pending: List[_Missing] = list(missing)
         round_number = 0
         with self._span(f"run_many:{len(missing)}points:{workers}jobs"):
@@ -475,9 +477,9 @@ class ResultCache:
         scale: float,
         disk,
         store,
-        metrics_by_key: Dict[CacheKey, object],
-        attempts: Dict[CacheKey, int],
-        ctx_by_key: Optional[Dict[CacheKey, object]] = None,
+        metrics_by_key: Dict[str, object],
+        attempts: Dict[str, int],
+        ctx_by_key: Optional[Dict[str, object]] = None,
     ) -> List[_Missing]:
         """Run one retry round in a fresh pool; return the points to retry.
 
@@ -502,7 +504,7 @@ class ResultCache:
                 for entry in pending
             ]
             for entry, future in futures:
-                key, workload, design, track_lifetimes, fingerprint = entry
+                fingerprint = entry[0]
                 timeout = (self._POOL_DRAIN_TIMEOUT if pool_killed
                            else self.point_timeout)
                 try:
@@ -521,9 +523,9 @@ class ResultCache:
                     failures.append((entry, f"{type(exc).__name__}: {exc}"))
                     continue
                 self.simulations_run += 1
-                self._results[key] = result
+                self._results[fingerprint] = result
                 if metrics is not None:
-                    metrics_by_key[key] = metrics
+                    metrics_by_key[fingerprint] = metrics
                 if spans and self.obs is not None:
                     # Harvested in submission order, so the re-emitted
                     # worker spans land deterministically in the trace.
@@ -542,12 +544,12 @@ class ResultCache:
         retry: List[_Missing] = []
         exhausted: List[PointFailure] = []
         for entry, reason in failures:
-            key = entry[0]
-            attempts[key] += 1
-            if attempts[key] > self.point_retries:
+            fingerprint = entry[0]
+            attempts[fingerprint] += 1
+            if attempts[fingerprint] > self.point_retries:
                 exhausted.append(PointFailure(
                     workload=entry[1], design=entry[2].name,
-                    attempts=attempts[key], reason=reason))
+                    attempts=attempts[fingerprint], reason=reason))
             else:
                 retry.append(entry)
         if exhausted:

@@ -17,9 +17,9 @@ This is the service-layer analogue of the paper's Figure 5 bandwidth
 sweep: the batching server is the shared resource, the request stream
 is the translation traffic, and the memo/disk cache tiers are the
 filters.  A load test against a warm cache measures the *filtered*
-path (HTTP + single-flight + batching), which is why thousands of
-requests per second are achievable over a simulator that takes
-milliseconds per point.
+path — HTTP plus a memo read on the server's event loop, with no batch
+window — which is why thousands of requests per second are achievable
+over a simulator that takes milliseconds per point.
 
 Each client is closed-loop (it issues the next request only after the
 previous response lands), so offered load scales with the number of
@@ -40,7 +40,7 @@ Two stream shapes are supported:
 :func:`shard_sweep` repeats the whole sweep against a locally spawned
 :class:`~repro.service.gateway.ShardGateway` at increasing replica
 counts over one shared disk cache, producing the scaling curve
-committed as ``benchmarks/perf/BENCH_PR7_shard.json``.
+committed as ``benchmarks/perf/BENCH_PR13_shard.json``.
 
 Usage::
 
@@ -524,11 +524,12 @@ def shard_sweep(
     All counts share one disk-cache directory, so only the first sweep
     pays the simulation cost; later counts warm every replica's memo
     from the shared disk tier — exactly the deployment story the
-    gateway exists for.  The per-replica wave budget is the deliberate
-    bottleneck: a paced batcher admits at most ``max_batch`` points per
-    ``batch_window``, so a single replica saturates at that rate and
-    total throughput scales with the number of independent wave
-    pipelines the ring spreads the stream over — not with raw CPU.
+    gateway exists for.  A paced batcher admits at most ``max_batch``
+    points per ``batch_window`` per replica, but only disk and computed
+    points wait for it: memo hits are answered on each replica's event
+    loop, so warm throughput is bounded by the CPU the gateway and
+    replica event loops get, and more replicas raise it only when there
+    are cores to run them on.
     """
     from repro.service.gateway import launch_local_gateway
 

@@ -17,12 +17,17 @@ Request life through the gateway::
         │ parse + fingerprint (route memo caches body → plan)
         ▼
     HashRing.lookup(fingerprint) per point ──> owner replica groups
-        │ single owner: forward the body, pass the reply through raw
-        │ several owners: fan out sub-requests, merge point payloads
+        │ one owner group per replica (often just one): forward its
+        │ sub-request, decode the reply's point payloads
         ▼
     pooled keep-alive connection to each replica (X-Trace-Id flows
     through, so the client → gateway → replica → worker spans stitch
     into one tree)
+        │
+        ▼
+    rebuild the payload: points in request order, plus
+    ``simulations_run_total`` summed from the per-replica counts each
+    forwarded reply and each health probe refreshes
 
 Replica management: a background health loop (interval jittered ±20%
 so probes never fall into lockstep) probes every replica's
@@ -168,7 +173,7 @@ class Replica:
                  "evictions", "last_error", "pool", "respawn",
                  "probe_failures", "respawns", "backoff_s", "backoff_until",
                  "spawned_at", "death_at", "rapid_deaths", "given_up",
-                 "respawning")
+                 "respawning", "simulations_run")
 
     def __init__(self, replica_id: str, host: str, port: int,
                  service: Optional[Any] = None,
@@ -196,6 +201,9 @@ class Replica:
         self.rapid_deaths = 0
         self.given_up = False
         self.respawning = False
+        #: The replica's lifetime simulation count as last reported by a
+        #: forwarded reply or a ``/healthz`` probe.
+        self.simulations_run = 0
         #: Idle keep-alive ``(reader, writer)`` pairs to this replica.
         self.pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
@@ -664,6 +672,11 @@ class ShardGateway:
                 healthy = False
                 reason = f"healthz probe failed: {exc}"
             if healthy:
+                # A probe's count is authoritative: it also catches a
+                # replica that restarted (and so counts from 0 again).
+                sims = payload.get("simulations_run")
+                if isinstance(sims, int):
+                    replica.simulations_run = sims
                 replica.probe_failures = 0
                 if (time.monotonic() - replica.spawned_at >= self.flap_window
                         and (replica.rapid_deaths
@@ -999,6 +1012,11 @@ class ShardGateway:
             raise ProtocolError(
                 502, protocol.ERROR_INTERNAL,
                 f"replica {replica.id} returned an undecodable reply: {exc}")
+        sims = payload.get("simulations_run_total")
+        if isinstance(sims, int):
+            # Concurrent replies can land out of order; within one
+            # replica process the count only grows.
+            replica.simulations_run = max(replica.simulations_run, sims)
         return dict(zip(indices, points))
 
     async def _hedge(self, indices: List[int], plan: _RoutePlan,
@@ -1041,7 +1059,7 @@ class ShardGateway:
         metrics = self.obs.metrics
         if len(owners) == 1:
             # Single-owner request (the common case for a sharded hot
-            # stream): forward and pass the reply through verbatim.
+            # stream): one forward, no fan-out.
             metrics.add("gateway.route.single")
             replica = self._by_id[next(iter(owners))]
             result = await self._forward_group(replica, indices, plan, ctx,
@@ -1060,7 +1078,9 @@ class ShardGateway:
             "trace_id": ctx.trace_id,
             "points": points,
             "wall_seconds": time.perf_counter() - started,
-            "simulations_run_total": await self._simulations_total(),
+            "simulations_run_total": sum(
+                replica.simulations_run for replica in self.replicas
+                if replica.healthy),
         }
         if failures:
             payload["error"] = protocol.ERROR_SWEEP_FAILED
@@ -1069,25 +1089,6 @@ class ShardGateway:
             payload["failures"] = failures
             return 500, payload
         return 200, payload
-
-    async def _simulations_total(self) -> int:
-        """Sum of the healthy replicas' lifetime simulation counters.
-
-        Cached per call site only by virtue of ``/healthz`` being
-        cheap; a replica that cannot be probed contributes 0 rather
-        than failing the response.
-        """
-        total = 0
-        for replica in self.replicas:
-            if not replica.healthy:
-                continue
-            try:
-                _status, _headers, raw = await self._replica_request(
-                    replica, "GET", "/healthz", b"", {})
-                total += int(json.loads(raw).get("simulations_run", 0))
-            except (ReplicaError, ValueError, TypeError):
-                pass
-        return total
 
     def _submit_job(self, body: bytes,
                     ctx: TraceContext) -> Tuple[int, Dict[str, Any]]:

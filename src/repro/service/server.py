@@ -5,6 +5,13 @@ Architecture (one request's life)::
     HTTP request ──> parse/validate (protocol.py)
         │                 │ 400 on unknown workload/design/config
         ▼
+    memo (fingerprint → result), on the event loop
+        │ a memo-resident point that is not in flight is answered
+        │ here, tier ``memo`` (0 work, no batch window); it never
+        │ counts against ``max_inflight``
+        ▼
+    admission ──> 429 if the remaining points exceed ``max_inflight``
+        ▼
     single-flight map (fingerprint → in-flight point)
         │ duplicate concurrent points join the existing future
         ▼
@@ -15,7 +22,6 @@ Architecture (one request's life)::
         │           steady-state admission budget under backlog
         ▼
     wave (executor thread): each point resolved through the cache tiers
-        memo  — already in the in-process memo           (0 work)
         disk  — loaded from the persistent DiskCache     (1 pickle read)
         computed — batched into ``ResultCache.run_many`` (simulated, with
                    the PR 4 timeout/retry/checkpoint machinery)
@@ -31,7 +37,8 @@ the shared IOMMU TLB.
 
 Endpoints:
 
-* ``POST /v1/simulate`` — run/fetch points, blocking until the wave lands.
+* ``POST /v1/simulate`` — run/fetch points: memo hits are answered at
+  once, the rest when their wave lands.
 * ``POST /v1/jobs`` / ``GET /v1/jobs/<id>`` — submit → poll → fetch.
 * ``GET /metrics`` — Prometheus text exposition of the
   :class:`~repro.obs.MetricsRegistry` (per-tier latency histograms,
@@ -367,19 +374,25 @@ class ExperimentService:
 
     # -- admission + single-flight + batching -----------------------------
     def _admit(self, specs: List[PointSpec]) -> None:
-        """Shed the request with 429 if its new points exceed the budget.
+        """Shed the request with 429 if its pool-bound points exceed the budget.
 
-        Only *new* points count: duplicates of in-flight points coalesce
-        for free and are never shed, and duplicate fingerprints within
-        one request are one point.  The ``Retry-After`` hint is how long
-        the wave pipeline needs to drain back under the budget at its
-        steady-state rate of ``max_batch`` points per ``batch_window``.
+        Only points that need the pool count against ``max_inflight``:
+        memo-resident points are answered on the event loop without
+        touching it, duplicates of in-flight points coalesce for free,
+        and duplicate fingerprints within one request are one point.
+        None of those is ever shed.  The ``Retry-After`` hint is how
+        long the wave pipeline needs to drain back under the budget at
+        its steady-state rate of ``max_batch`` points per
+        ``batch_window``.
         """
         if self.max_inflight is None:
             return
         fresh = {spec.fingerprint for spec in specs
-                 if spec.fingerprint not in self._inflight}
-        if self._active_points + len(fresh) <= self.max_inflight:
+                 if spec.fingerprint not in self._inflight
+                 and self.cache.memoized(spec.fingerprint) is None}
+        # Accepted jobs bypass admission, so _active_points can exceed
+        # the budget; a request adding no pool work still passes.
+        if not fresh or self._active_points + len(fresh) <= self.max_inflight:
             return
         excess = self._active_points + len(fresh) - self.max_inflight
         window = max(self.batch_window, 0.01)
@@ -518,15 +531,13 @@ class ExperimentService:
             disk = cache._disk_cache()
             for entry in entries:
                 spec = entry.spec
-                key = cache._key(spec.workload, spec.design,
-                                 spec.track_lifetimes)
-                if key in cache._results:
+                if cache.memoized(spec.fingerprint) is not None:
                     tiers[spec.fingerprint] = TIER_MEMO
                     continue
                 cached = disk.load(spec.fingerprint) if disk is not None \
                     else None
                 if cached is not None:
-                    cache._results[key] = cached
+                    cache._results[spec.fingerprint] = cached
                     tiers[spec.fingerprint] = TIER_DISK
                 else:
                     tiers[spec.fingerprint] = TIER_COMPUTED
@@ -555,9 +566,7 @@ class ExperimentService:
                     self._last_wave_error = wave_error
             for entry in entries:
                 spec = entry.spec
-                key = cache._key(spec.workload, spec.design,
-                                 spec.track_lifetimes)
-                result = cache._results.get(key)
+                result = cache.memoized(spec.fingerprint)
                 if result is not None:
                     self._resolve(entry, tiers[spec.fingerprint], result)
                     continue
@@ -585,24 +594,33 @@ class ExperimentService:
         """Settle one point's future (always on the event-loop thread)."""
         if self._inflight.pop(entry.spec.fingerprint, None) is not None:
             self._active_points -= 1
-        metrics = self.obs.metrics
         latency = time.perf_counter() - entry.enqueued_at
         if entry.future.done():
             return
         if exc is not None:
-            metrics.add("service.points.failed")
             entry.future.set_exception(exc)
+        else:
+            entry.future.set_result((result, tier))
+        self._record_point(entry.spec, entry.ctx,
+                           tier if exc is None else None, latency)
+
+    def _record_point(self, spec: PointSpec, ctx: Optional[TraceContext],
+                      tier: Optional[str], latency: float) -> None:
+        """Count one settled point and emit its ``service.point`` span.
+
+        ``tier=None`` marks a failed point.
+        """
+        metrics = self.obs.metrics
+        if tier is None:
+            metrics.add("service.points.failed")
         else:
             metrics.add(f"service.tier.{tier}")
             metrics.histogram(f"service.latency.{tier}").record(latency)
-            entry.future.set_result((result, tier))
-        if entry.ctx is not None and self.obs.tracing:
+        if ctx is not None and self.obs.tracing:
             self.obs.tracer.emit(
                 "span", time.time(), name="service.point", dur=latency,
-                workload=entry.spec.workload,
-                design=entry.spec.design.name,
-                tier=tier if exc is None else "failed",
-                **entry.ctx.span_fields())
+                workload=spec.workload, design=spec.design.name,
+                tier=tier or "failed", **ctx.span_fields())
 
     # -- HTTP layer -------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -775,8 +793,6 @@ class ExperimentService:
                         enforce_admission: bool = True,
                         ) -> Tuple[int, Dict[str, Any]]:
         specs = self._parse_points(body)
-        if enforce_admission:
-            self._admit(specs)
         include_counters = bool(isinstance(body, dict)
                                 and body.get("include_counters"))
         if isinstance(body, dict) and isinstance(body.get("sweep"), dict):
@@ -784,14 +800,37 @@ class ExperimentService:
             include_counters = include_counters or bool(
                 isinstance(output, dict) and output.get("include_counters"))
         started = time.perf_counter()
-        entries = [self._enqueue(spec, ctx, deadline) for spec in specs]
-        outcomes = await asyncio.gather(
+        # A memo-resident point that is not in flight is answered here,
+        # on the event loop: like a virtual-cache hit that never reaches
+        # the shared IOMMU, it skips admission, the single-flight map
+        # and the batch window.  Only disk and computed points go on.
+        hits: Dict[int, Any] = {}
+        for index, spec in enumerate(specs):
+            if spec.fingerprint not in self._inflight:
+                result = self.cache.memoized(spec.fingerprint)
+                if result is not None:
+                    hits[index] = result
+        pending = [spec for index, spec in enumerate(specs)
+                   if index not in hits]
+        if enforce_admission:
+            self._admit(pending)
+        for index, result in hits.items():
+            self._record_point(
+                specs[index],
+                ctx.child() if self.obs.tracing else None,
+                TIER_MEMO, time.perf_counter() - started)
+        entries = [self._enqueue(spec, ctx, deadline) for spec in pending]
+        settled = await asyncio.gather(
             *(entry.future for entry, _ in entries), return_exceptions=True)
+        answers = iter(zip(entries, settled))
         points: List[Dict[str, Any]] = []
         failures: List[Dict[str, Any]] = []
         all_deadline = True
-        for spec, (entry, coalesced), outcome in zip(
-                specs, entries, outcomes):
+        for index, spec in enumerate(specs):
+            if index in hits:
+                coalesced, outcome = False, (hits[index], TIER_MEMO)
+            else:
+                (_entry, coalesced), outcome = next(answers)
             if isinstance(outcome, BaseException):
                 reason = getattr(outcome, "reason", None) or str(outcome)
                 is_deadline = isinstance(outcome, _PointDeadline)

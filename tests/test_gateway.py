@@ -18,6 +18,7 @@ import pytest
 
 from repro.obs.promexp import validate_exposition
 from repro.service import ServiceClient, ServiceError
+from repro.service.protocol import parse_simulate_request
 from repro.service.gateway import (
     DEFAULT_VNODES,
     HashRing,
@@ -27,6 +28,7 @@ from repro.service.gateway import (
     replicas_from_urls,
     spawn_thread_replicas,
 )
+from repro.system.config import SoCConfig
 
 SCALE = 0.05
 
@@ -237,6 +239,60 @@ def test_trace_context_flows_through_gateway_to_replica(gateway):
     with ServiceClient(gateway.host, gateway.port, trace_ctx=ctx) as client:
         reply = client.simulate(HOT[:1])
     assert reply.trace_id == ctx.trace_id
+
+
+def _quiet_gateway(tmp_path):
+    """A 2-replica gateway whose health loop stays asleep for the test."""
+    return launch_local_gateway(
+        2, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
+        batch_window=0.002, health_interval=600.0)
+
+
+def _one_point_per_replica(gw):
+    owned = {}
+    for point in ({"workload": w, "design": d}
+                  for w in ("bfs", "kmeans", "pagerank", "hotspot")
+                  for d in ("baseline-512", "ideal-mmu", "vc-with-opt")):
+        (spec,) = parse_simulate_request(point, SCALE, SoCConfig())
+        owned.setdefault(gw.ring.lookup(spec.fingerprint), point)
+    assert set(owned) == {"r0", "r1"}
+    return [owned["r0"], owned["r1"]]
+
+
+def _replica_requests(gw):
+    return sum(replica.service.obs.metrics.snapshot()["counters"]
+               .get("service.requests", 0) for replica in gw.replicas)
+
+
+def test_gateway_reply_costs_one_replica_request(tmp_path):
+    gw = _quiet_gateway(tmp_path)
+    try:
+        with ServiceClient(gw.host, gw.port) as client:
+            point = _one_point_per_replica(gw)[0]
+            client.simulate([point])
+            before = _replica_requests(gw)
+            n = 5
+            for _ in range(n):
+                assert client.simulate([point]).points[0].tier == "memo"
+            # No /healthz fan-out per reply: one forward per request.
+            assert _replica_requests(gw) - before == n
+    finally:
+        gw.shutdown()
+
+
+def test_gateway_simulations_total_sums_the_replicas(tmp_path):
+    gw = _quiet_gateway(tmp_path)
+    try:
+        with ServiceClient(gw.host, gw.port) as client:
+            for point in _one_point_per_replica(gw):
+                reply = client.simulate([point])
+                assert reply.points[0].tier == "computed"
+            sims = [replica.service.cache.simulations_run
+                    for replica in gw.replicas]
+            assert sims == [1, 1]
+            assert reply.simulations_run_total == sum(sims)
+    finally:
+        gw.shutdown()
 
 
 def test_gateway_drain_rejects_new_work_then_finishes(tmp_path):

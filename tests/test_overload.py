@@ -7,9 +7,12 @@ import time
 
 import pytest
 
+from repro.experiments.common import ResultCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import launch_local_gateway
+from repro.service.jobs import JobJournal
 from repro.service.server import ExperimentService
+from repro.system.designs import DESIGNS_BY_NAME
 
 SCALE = 0.05
 POINT = {"workload": "bfs", "design": "baseline-512"}
@@ -106,6 +109,52 @@ def test_duplicate_inflight_point_is_never_shed(tmp_path):
         service.shutdown()
 
 
+def test_memo_resident_point_is_answered_when_the_budget_is_full(tmp_path):
+    # Memo hits never reach the pool, so they never count against
+    # max_inflight and are never shed.
+    service = _start_service(tmp_path, max_inflight=1, batch_window=0.5)
+    try:
+        with ServiceClient(service.host, service.port,
+                           timeout=120.0) as client:
+            client.simulate([OTHER_POINT])  # now memo-resident
+            thread, errors = _occupy(service)  # a cold point takes the slot
+            time.sleep(0.15)
+            reply = client.simulate([OTHER_POINT])
+            assert reply.points[0].tier == "memo"
+            assert client.healthz().raw["shed_total"] == 0
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert not errors, errors
+    finally:
+        service.shutdown()
+
+
+def test_memo_hit_passes_while_resumed_jobs_overfill_the_budget(tmp_path):
+    # Replayed jobs bypass admission, so more points than max_inflight
+    # can be in flight; a request that adds no pool work is still
+    # admitted.
+    journal = tmp_path / "jobs.rpck"
+    for index, point in enumerate((POINT, THIRD_POINT)):
+        JobJournal(journal).record_submitted(
+            f"job-{index}", json.dumps({"points": [point]}).encode("utf-8"),
+            f"{index:016x}", time.time())
+    cache = ResultCache(scale=SCALE)
+    cache.run("bfs", DESIGNS_BY_NAME["IDEAL MMU"])  # OTHER_POINT
+    service = ExperimentService(port=0, cache=cache, max_inflight=1,
+                                batch_window=1.0, jobs_journal=str(journal))
+    service.start_in_thread()
+    try:
+        with ServiceClient(service.host, service.port,
+                           timeout=120.0) as client:
+            assert _wait_until(
+                lambda: client.healthz().raw["inflight_points"] == 2,
+                timeout=0.9)
+            reply = client.simulate([OTHER_POINT])
+            assert reply.points[0].tier == "memo"
+    finally:
+        service.shutdown()
+
+
 def test_client_retries_through_shed(tmp_path):
     service = _start_service(tmp_path, max_inflight=1, batch_window=0.4)
     try:
@@ -133,6 +182,19 @@ def test_expired_deadline_returns_504(tmp_path):
                 client.simulate([THIRD_POINT], deadline_ms=1.0)
             assert excinfo.value.status == 504
             assert excinfo.value.code == "deadline_exceeded"
+    finally:
+        service.shutdown()
+
+
+def test_memo_resident_point_beats_a_short_deadline(tmp_path):
+    # The batch window (0.5 s) is longer than the deadline (20 ms): only
+    # an answer that skips the batcher can meet it.
+    service = _start_service(tmp_path, batch_window=0.5)
+    try:
+        with ServiceClient(service.host, service.port) as client:
+            client.simulate([POINT])
+            reply = client.simulate([POINT], deadline_ms=20.0)
+            assert reply.points[0].tier == "memo"
     finally:
         service.shutdown()
 

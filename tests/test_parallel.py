@@ -30,8 +30,10 @@ from repro.robustness.checkpoint import CheckpointStore
 from repro.system.designs import (
     BASELINE_512,
     BASELINE_16K,
+    DESIGNS_BY_NAME,
     IDEAL_MMU,
     VC_WITH_OPT,
+    design_from_dict,
 )
 
 TINY = 0.05
@@ -120,6 +122,23 @@ class TestMemoKeyIncludesConfig:
         cache.config = dataclasses.replace(cache.config)  # equal content
         assert cache.run("kmeans", BASELINE_512) is a
         assert cache.simulations_run == 1
+
+
+class TestMemoKeyIsThePointFingerprint:
+    def test_inline_design_reusing_a_preset_name_is_its_own_point(self):
+        # Regression: the memo used to key by design *name*, so an inline
+        # design named like a preset was served the preset's result.
+        inline = design_from_dict({
+            "name": "Baseline 512", "kind": "physical",
+            "per_cu_tlb_entries": 4, "iommu_bandwidth": 0.1})
+        cache = ResultCache(scale=TINY)
+        preset = cache.run("bfs", DESIGNS_BY_NAME["Baseline 512"])
+        tweaked = cache.run("bfs", inline)
+        assert cache.simulations_run == 2
+        fresh = ResultCache(scale=TINY).run("bfs", inline)
+        assert tweaked.cycles == fresh.cycles != preset.cycles
+        assert cache.memoized(point_fingerprint(
+            "bfs", TINY, inline, False, cache.config)) is tweaked
 
 
 class TestRunManyDeterminism:

@@ -132,6 +132,22 @@ def test_second_identical_request_hits_memo_with_zero_new_sims(client):
     assert metrics["histograms"]["service.request_seconds"]["count"] >= 2
 
 
+def test_memo_hit_does_not_wait_for_the_batch_window(tmp_path):
+    svc = ExperimentService(port=0, jobs=1, scale=SCALE,
+                            cache_dir=str(tmp_path / "cache"),
+                            batch_window=0.5)
+    svc.start_in_thread()
+    try:
+        with ServiceClient(svc.host, svc.port) as c:
+            assert c.simulate([POINT]).points[0].tier == "computed"
+            again = c.simulate([POINT])
+            assert again.points[0].tier == "memo"
+            # Answered on the event loop, not after the 0.5 s window.
+            assert again.wall_seconds < 0.25
+    finally:
+        svc.shutdown()
+
+
 def test_disk_tier_survives_a_restart(tmp_path):
     cache_dir = str(tmp_path / "cache")
     first = ExperimentService(port=0, jobs=1, scale=SCALE,

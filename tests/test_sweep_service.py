@@ -17,11 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.common import ResultCache
 from repro.experiments.sweepspec import SweepSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import launch_local_gateway
 from repro.service.jobs import JobJournal
 from repro.service.server import ExperimentService
+from repro.system.designs import design_from_dict
 
 SCALE = 0.05
 
@@ -58,6 +60,28 @@ def test_sweep_job_runs_and_second_submit_is_all_cache(tmp_path):
             assert (again.simulations_run_total
                     == reply.simulations_run_total)
             assert all(p.tier in ("memo", "disk") for p in again.points)
+    finally:
+        service.shutdown()
+
+
+def test_inline_design_reusing_a_preset_name_is_computed(tmp_path):
+    # Regression: the memo used to key by design *name*, so a sweep's
+    # inline design named like a preset got the preset's memo entry.
+    inline = {"name": "Baseline 512", "kind": "physical",
+              "per_cu_tlb_entries": 4, "iommu_bandwidth": 0.1}
+    service = _service(tmp_path)
+    service.start_in_thread()
+    try:
+        with ServiceClient(service.host, service.port) as client:
+            preset = client.simulate(
+                [{"workload": "bfs", "design": "baseline-512"}]).points[0]
+            reply = client.wait(client.sweep(
+                {**SPEC, "designs": [inline]}), timeout=120.0)
+            (point,) = reply.points
+            assert point.tier == "computed"
+            assert point.fingerprint != preset.fingerprint
+            assert point.cycles == ResultCache(scale=SCALE).run(
+                "bfs", design_from_dict(inline)).cycles != preset.cycles
     finally:
         service.shutdown()
 

@@ -481,6 +481,22 @@ def test_one_request_stitches_into_a_single_trace(traced_service):
     # The simulation's fine-grained events joined the same trace.
     assert any(e.get("ev") != "span" for e in events)
 
+    # A second request for the same point is a memo hit answered on the
+    # event loop; it still gets its point span under its request span.
+    memo_ctx = TraceContext.new()
+    with ServiceClient(svc.host, svc.port, trace_ctx=memo_ctx) as client:
+        reply = client.simulate([{"workload": "bfs",
+                                  "design": "baseline-512"}])
+        assert reply.points[0].tier == "memo"
+    memo_spans = [e for e in stitch(tracer.events)[memo_ctx.trace_id]
+                  if e.get("ev") == "span"]
+    memo_request = next(s for s in memo_spans
+                        if s["name"] == "service.request")
+    memo_points = [s for s in memo_spans if s["name"] == "service.point"]
+    assert len(memo_points) == 1
+    assert memo_points[0]["tier"] == "memo"
+    assert memo_points[0]["parent"] == memo_request["span"]
+
 
 def test_untraced_request_gets_server_minted_trace_id(traced_service):
     svc, _ = traced_service
