@@ -1,6 +1,5 @@
-"""Discrete-event simulation kernel, shared-resource models, statistics."""
+"""Shared-resource queueing models and statistics primitives."""
 
-from repro.engine.events import EventQueue, Simulator
 from repro.engine.resources import (
     BandwidthLink,
     BankedServer,
@@ -17,8 +16,6 @@ from repro.engine.stats import (
 )
 
 __all__ = [
-    "EventQueue",
-    "Simulator",
     "ThroughputServer",
     "BankedServer",
     "ThreadPool",

@@ -293,9 +293,11 @@ def render_spec_doc() -> str:
         "entry point consumes: `repro-experiment sweep SPEC.json` runs it "
         "through the result cache (full `--jobs`/`--cache-dir`/"
         "`--checkpoint`/retry support), `POST /v1/sweep` submits it as a "
-        "durable job (journaled before the ack, shardable through the "
-        "gateway), and the figure drivers, `bench`, and `chaos` build "
-        "their own point enumerations as specs internally.  Validation "
+        "job (the gateway shards its points across replicas; only a "
+        "plain `serve --jobs-journal PATH` journals it before the ack, "
+        "so it survives a restart), and the figure drivers, `bench`, and "
+        "`chaos` build their own point enumerations as specs "
+        "internally.  Validation "
         "is strict: every rejected spec raises a typed "
         "`SweepSpecError` subclass with a precise message, which the "
         "service maps to HTTP 400.")

@@ -12,19 +12,21 @@ genuine misses reach the simulation pool.
 * :mod:`repro.service.protocol` — the JSON wire protocol: design-name
   resolution, request validation, and result payloads with cache-tier
   provenance (``memo`` / ``disk`` / ``computed``).
-* :mod:`repro.service.server` — :class:`ExperimentService`, a stdlib
-  ``asyncio`` HTTP server with single-flight request coalescing, wave
-  batching into :meth:`ResultCache.run_many`, ``/metrics`` +
+* :mod:`repro.service.frontend` — :class:`~repro.service.frontend.Frontend`,
+  the one stdlib ``asyncio`` HTTP front end both servers below run:
+  routing, jobs (with an optional journal), ``/metrics`` +
   ``/healthz`` endpoints, and graceful drain on SIGTERM.
-* :mod:`repro.service.client` — :class:`ServiceClient`, a stdlib-only
-  typed client (submit/poll/fetch and synchronous simulate).
-* :mod:`repro.service.http11` — the shared HTTP/1.1 framing both the
-  server and the gateway speak.
-* :mod:`repro.service.gateway` — :class:`ShardGateway`, a
-  consistent-hash front door that shards the point-fingerprint
+* :mod:`repro.service.server` — :class:`ExperimentService`, the front
+  end over the memo, single-flight request coalescing and wave
+  batching into :meth:`ResultCache.run_many`.
+* :mod:`repro.service.gateway` — :class:`ShardGateway`, the front end
+  as a consistent-hash front door that shards the point-fingerprint
   keyspace across N replicas (``repro-experiment serve --replicas N``),
   health-checks and evicts/re-admits them, and hedges in-flight points
   to the rebuilt ring so a killed replica costs zero client failures.
+* :mod:`repro.service.client` — :class:`ServiceClient`, a stdlib-only
+  typed client (submit/poll/fetch and synchronous simulate).
+* :mod:`repro.service.http11` — the shared HTTP/1.1 framing.
 
 Start a server with ``repro-experiment serve --port 8000 --jobs 4
 --cache-dir ~/.cache/repro``, or embed one in-process::

@@ -70,9 +70,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import uuid
 from bisect import bisect_right
 from collections import OrderedDict
 from hashlib import sha256
@@ -86,6 +84,7 @@ from repro.obs.promexp import merge_expositions, render_prometheus
 from repro.obs.trace_context import TraceContext
 from repro.service import http11, protocol
 from repro.service.client import parse_target
+from repro.service.frontend import Frontend, run_frontend
 from repro.service.http11 import Raw
 from repro.service.protocol import ProtocolError
 from repro.system.config import SoCConfig
@@ -106,9 +105,6 @@ __all__ = [
 #: Virtual nodes per replica: enough for ~±10% key balance at 3
 #: replicas without making ring rebuilds expensive.
 DEFAULT_VNODES = 64
-
-#: Completed gateway job records kept for polling before eviction.
-_MAX_JOBS = 1024
 
 #: Idle keep-alive connections pooled per replica.
 _MAX_POOL_PER_REPLICA = 32
@@ -382,20 +378,22 @@ class _RoutePlan:
         return json.dumps(body).encode("utf-8")
 
 
-class ShardGateway:
+class ShardGateway(Frontend):
     """The consistent-hash front door over a set of experiment replicas.
 
-    Speaks the exact :mod:`repro.service.protocol` dialect the plain
-    service does (``/v1/simulate``, ``/v1/jobs``, ``/healthz``,
-    ``/metrics``, ``/v1/drain``), so :class:`ServiceClient` and the
-    loadtest drive it unchanged.  ``scale`` must match the replicas'
-    default scale — fingerprints are computed gateway-side for routing
-    and replica-side for memoization, and they must agree.
-
-    Lifecycle mirrors :class:`ExperimentService`: ``await start()``,
-    :meth:`start_in_thread`/:meth:`shutdown`, or :meth:`serve_forever`
-    (CLI; SIGTERM drains the gateway and every managed replica).
+    Runs the same :class:`~repro.service.frontend.Frontend` as
+    :class:`ExperimentService` (``/v1/simulate``, ``/v1/jobs``,
+    ``/v1/sweep``, ``/healthz``, ``/metrics``, ``/v1/drain``), so
+    :class:`ServiceClient` and the loadtest drive it unchanged; only
+    the points are answered by forwarding them to their ring owners.
+    ``scale`` must match the replicas' default scale — fingerprints are
+    computed gateway-side for routing and replica-side for memoization,
+    and they must agree.  A drain (SIGTERM under :meth:`serve_forever`)
+    also drains every managed replica.
     """
+
+    NAME = "repro-gateway"
+    PREFIX = "gateway"
 
     def __init__(
         self,
@@ -426,10 +424,9 @@ class ShardGateway:
             raise ValueError(f"duplicate replica ids: {ids}")
         if probe_failure_threshold < 1:
             raise ValueError("probe_failure_threshold must be >= 1")
+        super().__init__(host, port, obs)
         self.replicas = list(replicas)
         self._by_id = {replica.id: replica for replica in self.replicas}
-        self.host = host
-        self.port = port
         self.vnodes = vnodes
         self.ring = HashRing(ids, vnodes=vnodes)
         self.health_interval = health_interval
@@ -449,7 +446,6 @@ class ShardGateway:
             f"gateway-health:{len(self.replicas)}:{vnodes}")
         for replica in self.replicas:
             replica.backoff_s = respawn_backoff_base
-        self.obs = obs if obs is not None else Observability()
         # Parsing defaults — must mirror the replicas' so the gateway
         # fingerprints exactly what they memoize under.
         self._base_scale = (scale if scale is not None
@@ -459,63 +455,24 @@ class ShardGateway:
 
         self._route_memo: "OrderedDict[bytes, _RoutePlan]" = OrderedDict()
         self._route_memo_size = route_memo_size
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._drained_event: Optional[asyncio.Event] = None
-        self._jobs: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._writers: set = set()
-        self._busy_requests = 0
-        self._draining = False
-        self._started_at = time.time()
-        self._thread: Optional[threading.Thread] = None
 
-    # -- lifecycle --------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind the listener and start the health loop; returns (host, port)."""
-        self._loop = asyncio.get_running_loop()
-        self._drained_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    # -- backend lifecycle ------------------------------------------------
+    def _start_backend(self) -> None:
         self._health_task = self._loop.create_task(self._health_loop())
-        self._started_at = time.time()
-        return self.host, self.port
 
-    def request_drain(self) -> None:
-        """Begin graceful shutdown of the gateway and managed replicas."""
-        if self._draining or self._loop is None:
-            return
-        self._draining = True
-        self._loop.create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        while (self._busy_requests
-               or any(record["status"] == "running"
-                      for record in self._jobs.values())):
-            await asyncio.sleep(0.01)
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
+    async def _stop_backend(self) -> None:
+        self._health_task.cancel()
+        try:
+            await self._health_task
+        except asyncio.CancelledError:
+            pass
         # Stop the replicas this gateway owns (thread services join
         # their loops; subprocesses get SIGTERM and drain themselves).
         await asyncio.get_running_loop().run_in_executor(
             None, self._stop_managed_replicas)
         for replica in self.replicas:
             self._drop_pool(replica)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        if self._server is not None:
-            await self._server.wait_closed()
-        self._drained_event.set()
 
     def _stop_managed_replicas(self) -> None:
         for replica in self.replicas:
@@ -536,72 +493,11 @@ class ShardGateway:
                 except Exception:
                     pass
 
-    async def serve_until_drained(self) -> None:
-        """Block until a drain (SIGTERM, /v1/drain, or shutdown()) finishes."""
-        await self._drained_event.wait()
-
-    def start_in_thread(self, timeout: float = 30.0) -> Tuple[str, int]:
-        """Run the gateway on a dedicated event-loop thread."""
-        started = threading.Event()
-        failure: List[BaseException] = []
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            try:
-                asyncio.set_event_loop(loop)
-                loop.run_until_complete(self.start())
-            except BaseException as exc:
-                failure.append(exc)
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_until_complete(self.serve_until_drained())
-                loop.run_until_complete(loop.shutdown_default_executor())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-gateway", daemon=True)
-        self._thread.start()
-        if not started.wait(timeout):
-            raise RuntimeError("gateway did not start in time")
-        if failure:
-            raise failure[0]
-        return self.host, self.port
-
-    def shutdown(self, timeout: float = 120.0) -> None:
-        """Drain a :meth:`start_in_thread` gateway and join its thread."""
-        if self._loop is not None and not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self.request_drain)
-            except RuntimeError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    async def _amain(self) -> None:
-        await self.start()
-        print(f"repro-gateway listening on http://{self.host}:{self.port}",
-              flush=True)
-        for replica in self.replicas:
-            mode = replica.describe()["mode"]
-            print(f"repro-gateway replica {replica.id} -> "
-                  f"{replica.host}:{replica.port} ({mode})", flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await self.serve_until_drained()
-        print("repro-gateway drained cleanly", flush=True)
-
-    def serve_forever(self) -> int:
-        """The CLI entry: serve until SIGTERM/SIGINT drains the tree."""
-        asyncio.run(self._amain())
-        return 0
+    def _banner(self) -> str:
+        return "\n".join([super()._banner()] + [
+            f"repro-gateway replica {replica.id} -> "
+            f"{replica.host}:{replica.port} ({replica.describe()['mode']})"
+            for replica in self.replicas])
 
     # -- ring + replica health --------------------------------------------
     def _rebuild_ring(self) -> None:
@@ -853,7 +749,7 @@ class ShardGateway:
             self.obs.metrics.add("gateway.route_memo.hits")
             return plan
         decoded = self._decode(body)
-        if "sweep" in decoded:
+        if isinstance(decoded, dict) and "sweep" in decoded:
             # A sweep is expanded gateway-side into plain simulate
             # points, so each lands on its fingerprint's home replica;
             # non-preset designs travel inline in their wire form.
@@ -890,21 +786,6 @@ class ShardGateway:
             while len(self._route_memo) > self._route_memo_size:
                 self._route_memo.popitem(last=False)
         return plan
-
-    @staticmethod
-    def _decode(body: bytes) -> Any:
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(
-                400, protocol.ERROR_BAD_REQUEST,
-                f"request body is not valid JSON: {exc}")
-        if not isinstance(decoded, dict):
-            raise ProtocolError(
-                400, protocol.ERROR_BAD_REQUEST,
-                f"request body must be a JSON object, "
-                f"got {type(decoded).__name__}")
-        return decoded
 
     def _owner(self, fingerprint: str) -> Replica:
         try:
@@ -1050,8 +931,19 @@ class ShardGateway:
         return merged
 
     # -- endpoints --------------------------------------------------------
+    def _simulations_total(self) -> int:
+        """Lifetime simulations summed over the healthy replicas."""
+        return sum(replica.simulations_run for replica in self.replicas
+                   if replica.healthy)
+
+    def _accept_job(self, body: bytes, admit: bool = True) -> int:
+        # The replicas admit each forwarded point; the gateway has no
+        # budget of its own.
+        return len(self._plan(body).fingerprints)
+
     async def _simulate(self, body: bytes, ctx: TraceContext,
-                        deadline: Optional[float] = None) -> Tuple[int, Any]:
+                        deadline: Optional[float] = None,
+                        admitted: bool = False) -> Tuple[int, Any]:
         plan = self._plan(body)
         started = time.perf_counter()
         indices = list(range(len(plan.fingerprints)))
@@ -1078,9 +970,7 @@ class ShardGateway:
             "trace_id": ctx.trace_id,
             "points": points,
             "wall_seconds": time.perf_counter() - started,
-            "simulations_run_total": sum(
-                replica.simulations_run for replica in self.replicas
-                if replica.healthy),
+            "simulations_run_total": self._simulations_total(),
         }
         if failures:
             payload["error"] = protocol.ERROR_SWEEP_FAILED
@@ -1090,72 +980,14 @@ class ShardGateway:
             return 500, payload
         return 200, payload
 
-    def _submit_job(self, body: bytes,
-                    ctx: TraceContext) -> Tuple[int, Dict[str, Any]]:
-        plan = self._plan(body)  # validate before accepting
-        job_id = uuid.uuid4().hex
-        record: Dict[str, Any] = {
-            "job_id": job_id,
-            "status": "running",
-            "trace_id": ctx.trace_id,
-            "submitted_unix": time.time(),
-            "n_points": len(plan.fingerprints),
-            "result": None,
-        }
-        self._jobs[job_id] = record
-        while len(self._jobs) > _MAX_JOBS:
-            self._evict_one_job()
-        self._loop.create_task(self._run_job(record, body, ctx))
-        self.obs.metrics.add("gateway.jobs.submitted")
-        return 202, {"job_id": job_id, "status": "running",
-                     "n_points": len(plan.fingerprints),
-                     "trace_id": ctx.trace_id}
-
-    def _evict_one_job(self) -> None:
-        for job_id, record in self._jobs.items():
-            if record["status"] != "running":
-                del self._jobs[job_id]
-                return
-        self._jobs.popitem(last=False)
-
-    async def _run_job(self, record: Dict[str, Any], body: bytes,
-                       ctx: TraceContext) -> None:
-        try:
-            status, payload = await self._simulate(body, ctx)
-        except ProtocolError as exc:
-            status, payload = exc.status, exc.body()
-        except Exception as exc:  # the job must always settle
-            status, payload = 500, {"error": protocol.ERROR_INTERNAL,
-                                    "message": f"{type(exc).__name__}: {exc}"}
-        record["result"] = payload
-        record["status"] = "done" if status == 200 else "failed"
-        record["completed_unix"] = time.time()
-
-    def _job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
-        record = self._jobs.get(job_id)
-        if record is None:
-            raise ProtocolError(404, protocol.ERROR_NOT_FOUND,
-                                f"unknown job {job_id!r}")
-        payload = {key: record[key] for key in
-                   ("job_id", "status", "n_points", "submitted_unix")}
-        if record["status"] != "running":
-            payload["result"] = record["result"]
-            payload["completed_unix"] = record["completed_unix"]
-        return 200, payload
-
-    def _health_payload(self) -> Dict[str, Any]:
+    def _health(self) -> Dict[str, Any]:
         healthy = sum(1 for replica in self.replicas if replica.healthy)
         return {
-            "status": "draining" if self._draining else "ok",
-            "uptime_seconds": time.time() - self._started_at,
-            "busy_requests": self._busy_requests,
-            "jobs_running": sum(1 for r in self._jobs.values()
-                                if r["status"] == "running"),
-            # ServiceClient.healthz() compatibility — the gateway holds
-            # no queue or simulator of its own.
+            # The gateway holds no queue of its own; its simulations are
+            # its replicas', summed as in every /v1/simulate reply.
             "queue_depth": 0,
             "inflight_points": 0,
-            "simulations_run": 0,
+            "simulations_run": self._simulations_total(),
             "pool": {"replicas_healthy": healthy,
                      "replicas_total": len(self.replicas)},
             "supervise": self.supervise,
@@ -1166,15 +998,12 @@ class ShardGateway:
             "scale": self._base_scale,
         }
 
-    async def _metrics_response(self, headers: Dict[str, str]
-                                ) -> Tuple[int, Any]:
+    async def _metrics(self, headers: Dict[str, str]) -> Tuple[int, Any]:
         metrics = self.obs.metrics
         metrics.set_gauge("gateway.replicas_total", len(self.replicas))
         metrics.set_gauge(
             "gateway.replicas_healthy",
             sum(1 for replica in self.replicas if replica.healthy))
-        metrics.set_gauge("gateway.uptime_seconds",
-                          time.time() - self._started_at)
         if "application/json" in headers.get("accept", ""):
             replicas: Dict[str, Any] = {}
             for replica in self.replicas:
@@ -1207,123 +1036,6 @@ class ShardGateway:
                 pass  # an unscrapable replica is simply absent
         text = merge_expositions(parts)
         return 200, Raw(text.encode("utf-8"), _PROM_CONTENT_TYPE)
-
-    # -- HTTP layer -------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                request = await http11.read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                self._busy_requests += 1
-                try:
-                    status, payload, trace_id, extra = await self._route(
-                        method, path, headers, body)
-                    keep_alive = (headers.get("connection", "").lower()
-                                  != "close")
-                    await http11.write_response(
-                        writer, status, payload, keep_alive, trace_id,
-                        extra_headers=extra)
-                finally:
-                    self._busy_requests -= 1
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, asyncio.LimitOverrunError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _route(self, method: str, path: str, headers: Dict[str, str],
-                     body: bytes) -> Tuple[int, Any, str, Dict[str, str]]:
-        ctx = TraceContext.from_headers(headers)
-        metrics = self.obs.metrics
-        metrics.add("gateway.requests")
-        started = time.perf_counter()
-        extra: Dict[str, str] = {}
-        try:
-            status, payload = await self._dispatch(
-                method, path, headers, body, ctx)
-        except ProtocolError as exc:
-            status, payload, extra = exc.status, exc.body(), exc.headers()
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            metrics.add("gateway.errors.internal")
-            status, payload = 500, {
-                "error": protocol.ERROR_INTERNAL,
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        if isinstance(payload, dict):
-            payload.setdefault("trace_id", ctx.trace_id)
-        metrics.add(f"gateway.http.{status}")
-        duration = time.perf_counter() - started
-        metrics.histogram("gateway.request_seconds").record(duration)
-        if self.obs.tracing:
-            self.obs.tracer.emit(
-                "span", time.time(), name="gateway.request", dur=duration,
-                method=method, path=path, status=status,
-                **ctx.span_fields())
-        return status, payload, ctx.trace_id, extra
-
-    async def _dispatch(self, method: str, path: str,
-                        headers: Dict[str, str], body: bytes,
-                        ctx: TraceContext) -> Tuple[int, Any]:
-        if path == "/healthz":
-            self._require(method, "GET")
-            return 200, self._health_payload()
-        if path == "/metrics":
-            self._require(method, "GET")
-            return await self._metrics_response(headers)
-        if path == "/v1/simulate":
-            self._require(method, "POST")
-            self._reject_if_draining()
-            return await self._simulate(
-                body, ctx, deadline=protocol.parse_deadline_header(headers))
-        if path == "/v1/jobs":
-            self._require(method, "POST")
-            self._reject_if_draining()
-            return self._submit_job(body, ctx)
-        if path == "/v1/sweep":
-            self._require(method, "POST")
-            self._reject_if_draining()
-            decoded = self._decode(body)
-            if "sweep" not in decoded:
-                raise ProtocolError(
-                    400, protocol.ERROR_BAD_REQUEST,
-                    "request needs a 'sweep' object (a SweepSpec)")
-            return self._submit_job(body, ctx)
-        if path.startswith("/v1/jobs/"):
-            self._require(method, "GET")
-            return self._job_status(path[len("/v1/jobs/"):])
-        if path == "/v1/drain":
-            self._require(method, "POST")
-            self.request_drain()
-            return 202, {"status": "draining"}
-        raise ProtocolError(404, protocol.ERROR_NOT_FOUND,
-                            f"no route for {path!r}")
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise ProtocolError(
-                405, protocol.ERROR_BAD_REQUEST,
-                f"method {method} not allowed here (use {expected})")
-
-    def _reject_if_draining(self) -> None:
-        if self._draining:
-            self.obs.metrics.add("gateway.rejected.draining")
-            raise ProtocolError(
-                503, protocol.ERROR_DRAINING,
-                "gateway is draining; no new work accepted")
-
 
 def launch_local_gateway(
     replica_count: int,
@@ -1405,12 +1117,6 @@ def run_gateway(
     capped exponential backoff, and a flapping one trips the give-up
     alarm (``--no-supervise`` turns this off).
     """
-    obs = None
-    if trace_out or metrics_out:
-        from repro.obs import JsonLinesTracer
-
-        tracer = JsonLinesTracer(trace_out) if trace_out else None
-        obs = Observability(tracer=tracer)
     own_cache = None
     if replica_urls:
         replica_list = replicas_from_urls(replica_urls)
@@ -1426,19 +1132,14 @@ def run_gateway(
             replicas, cache_dir, scale=scale, jobs=jobs,
             batch_window=batch_window, max_batch=max_batch,
             check_invariants=check_invariants, max_inflight=max_inflight)
-    gateway = ShardGateway(
-        replica_list, host=host, port=port, scale=scale,
-        check_invariants=check_invariants, health_interval=health_interval,
-        obs=obs, supervise=supervise)
     try:
-        return gateway.serve_forever()
+        return run_frontend(
+            lambda obs: ShardGateway(
+                replica_list, host=host, port=port, scale=scale,
+                check_invariants=check_invariants,
+                health_interval=health_interval, obs=obs,
+                supervise=supervise),
+            trace_out, metrics_out)
     finally:
-        if obs is not None:
-            obs.close()
-        if metrics_out:
-            with open(metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(gateway.obs.metrics.snapshot(), handle,
-                          indent=2, sort_keys=True)
-                handle.write("\n")
         if own_cache is not None:
             own_cache.cleanup()

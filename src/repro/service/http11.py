@@ -1,16 +1,15 @@
 """Minimal hand-rolled HTTP/1.1 framing shared by the service and gateway.
 
-:class:`~repro.service.server.ExperimentService` (PR 5) carries its
-traffic over a deliberately small HTTP/1.1 subset — one request line,
-lower-cased headers, ``Content-Length`` bodies, keep-alive by default —
-implemented directly on :mod:`asyncio` streams so the service stays
-stdlib-only.  The sharding gateway (PR 7) speaks the same dialect on
-both sides: it *parses* requests from clients and *issues* requests to
-replicas.  This module is that shared dialect, factored out so the two
-servers cannot drift apart:
+The service carries its traffic over a deliberately small HTTP/1.1
+subset — one request line, lower-cased headers, ``Content-Length``
+bodies, keep-alive by default — implemented directly on :mod:`asyncio`
+streams so it stays stdlib-only.  Both servers parse client requests
+through the one :class:`~repro.service.frontend.Frontend`, and the
+sharding gateway also *issues* requests to its replicas in the same
+dialect.  This module is that dialect:
 
-* :func:`read_request` / :func:`write_response` — the server side,
-  exactly as ``ExperimentService`` has always framed it.
+* :func:`read_request` / :func:`write_response` — the server side the
+  front end speaks.
 * :func:`format_request` / :func:`read_response` — the client side the
   gateway uses to forward requests over pooled keep-alive connections.
 * :class:`Raw` — a pass-through (non-JSON) response body, e.g. the

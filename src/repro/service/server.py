@@ -35,32 +35,18 @@ traffic so only genuine misses reach the expensive shared resource (the
 process pool), exactly as virtual-cache hits filter translations before
 the shared IOMMU TLB.
 
-Endpoints:
-
-* ``POST /v1/simulate`` — run/fetch points: memo hits are answered at
-  once, the rest when their wave lands.
-* ``POST /v1/jobs`` / ``GET /v1/jobs/<id>`` — submit → poll → fetch.
-* ``GET /metrics`` — Prometheus text exposition of the
-  :class:`~repro.obs.MetricsRegistry` (per-tier latency histograms,
-  tier counters, queue gauges); ``Accept: application/json`` returns
-  the raw JSON snapshot instead.
-* ``GET /healthz`` — queue depth, in-flight points, pool liveness.
-* ``POST /v1/drain`` — programmatic graceful drain (same path as SIGTERM).
-
-Graceful shutdown: SIGTERM (or ``/v1/drain``) stops the listener,
-rejects new work with 503, finishes every in-flight wave (delivering
-the responses), leaves the crash-safe checkpoint flushed (appends are
-fsync'd per point), and exits 0.
+The HTTP side — endpoints, jobs and their journal, ``/healthz``,
+``/metrics`` and graceful drain — is the shared
+:class:`~repro.service.frontend.Frontend`; this module adds the memo
+fast path, admission, single-flight and the wave batcher behind it.
+On drain the batcher finishes every in-flight wave, and the crash-safe
+checkpoint is left flushed (appends are fsync'd per point).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
-import threading
 import time
-import uuid
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -70,9 +56,9 @@ from repro.obs import Observability
 from repro.obs.promexp import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.promexp import render_prometheus
 from repro.obs.trace_context import TraceContext
-from repro.service import http11, protocol
+from repro.service import protocol
+from repro.service.frontend import Frontend, run_frontend
 from repro.service.http11 import Raw as _Raw
-from repro.service.jobs import JobJournal
 from repro.service.protocol import PointSpec, ProtocolError
 from repro.workloads import registry
 
@@ -87,9 +73,6 @@ __all__ = [
 TIER_MEMO = "memo"
 TIER_DISK = "disk"
 TIER_COMPUTED = "computed"
-
-#: Completed job records kept for polling before the oldest are evicted.
-_MAX_JOBS = 1024
 
 
 class _InflightPoint:
@@ -127,7 +110,7 @@ class _PointDeadline(_PointFailed):
     """A point abandoned because its caller's deadline budget ran out."""
 
 
-class ExperimentService:
+class ExperimentService(Frontend):
     """A long-lived batching simulation server over one :class:`ResultCache`.
 
     The service owns (or adopts) a cache configured exactly like the
@@ -135,12 +118,13 @@ class ExperimentService:
     persistence, optional crash-safe ``checkpoint``, per-point
     timeout/retries, and invariant auditing.  ``scale`` fixes the
     default workload scale (requests may override per request).
-
-    Run it three ways: :meth:`serve_forever` (the CLI path, installs
-    SIGTERM/SIGINT drain handlers), :meth:`start_in_thread` /
-    :meth:`shutdown` (embedding in tests and examples), or ``await
-    start()`` inside an existing event loop.
+    ``max_inflight`` bounds admitted points (shed with 429 beyond it);
+    ``jobs_journal`` persists ``/v1/jobs`` across restarts.  The
+    lifecycle is :class:`~repro.service.frontend.Frontend`'s.
     """
+
+    NAME = "repro-service"
+    PREFIX = "service"
 
     def __init__(
         self,
@@ -168,209 +152,45 @@ class ExperimentService:
             raise ValueError("max_batch must be >= 1")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 (or None)")
-        self.host = host
-        self.port = port
-        self.batch_window = batch_window
-        self.max_batch = max_batch
-        self.max_inflight = max_inflight
-        self.obs = obs if obs is not None else Observability()
         if cache is None:
             cache = ResultCache(
                 jobs=jobs, cache_dir=cache_dir, checkpoint=checkpoint,
                 check_invariants=check_invariants,
                 point_timeout=point_timeout, point_retries=point_retries)
-            if scale is not None:
-                cache.scale = scale
-        elif scale is not None:
+        if scale is not None:
             cache.scale = scale
         if cache.obs is None:
-            cache.obs = self.obs
-        else:
-            self.obs = cache.obs
+            cache.obs = obs if obs is not None else Observability()
+        super().__init__(host, port, cache.obs, jobs_journal)
+        self.batch_window = batch_window
+        self.max_batch = max_batch
+        self.max_inflight = max_inflight
         self.cache = cache
         # Snapshots the request parser validates against; waves restore
         # the cache to these after any per-request override.
         self._base_scale = cache.effective_scale()
         self._base_config = cache.config
 
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._queue: "asyncio.Queue[Optional[_InflightPoint]]" = None
         self._batcher_task: Optional[asyncio.Task] = None
-        self._drained_event: Optional[asyncio.Event] = None
         self._inflight: Dict[str, _InflightPoint] = {}
-        self._jobs: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._journal = JobJournal(jobs_journal) if jobs_journal else None
         self._shed_total = 0
-        self._writers: set = set()
         self._active_points = 0
-        self._busy_requests = 0
         self._wave_active = False
         self._waves_run = 0
         self._last_wave_error: Optional[str] = None
-        self._draining = False
-        self._started_at = time.time()
-        self._thread: Optional[threading.Thread] = None
 
-    # -- lifecycle --------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind the listener and start the batcher; returns (host, port)."""
-        self._loop = asyncio.get_running_loop()
+    # -- backend lifecycle ------------------------------------------------
+    def _start_backend(self) -> None:
         self._queue = asyncio.Queue()
-        self._drained_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
         self._batcher_task = self._loop.create_task(self._batch_loop())
-        self._started_at = time.time()
-        if self._journal is not None:
-            self._replay_journal()
-        return self.host, self.port
 
-    def _replay_journal(self) -> None:
-        """Rebuild the job table from the journal on restart.
+    def _idle(self) -> bool:
+        return not self._active_points and self._queue.empty()
 
-        Finished jobs are served straight from their recorded payloads;
-        submitted-but-unfinished jobs (the server died mid-run) are
-        re-validated and re-run under their original job IDs and trace
-        IDs.  Their points are fingerprint-keyed, so anything that
-        reached the disk cache before the crash costs nothing to
-        "recompute".
-        """
-        metrics = self.obs.metrics
-        for job in self._journal.replay():
-            record: Dict[str, Any] = {
-                "job_id": job.job_id,
-                "status": "running",
-                "trace_id": job.trace_id,
-                "submitted_unix": job.submitted_at,
-                "n_points": None,
-                "result": None,
-            }
-            if job.finished:
-                record["status"] = job.status
-                record["result"] = job.payload
-                record["completed_unix"] = job.completed_at
-                if isinstance(job.payload, dict):
-                    record["n_points"] = len(job.payload.get("points") or [])
-                metrics.add("service.jobs.recovered")
-                self._jobs[job.job_id] = record
-                continue
-            ctx = TraceContext.from_headers({"x-trace-id": job.trace_id})
-            try:
-                body = json.loads(job.body.decode("utf-8"))
-                specs = self._parse_points(body)
-            except (UnicodeDecodeError, json.JSONDecodeError,
-                    ProtocolError) as exc:
-                record["status"] = "failed"
-                record["result"] = {"error": protocol.ERROR_BAD_REQUEST,
-                                    "message": f"journal replay: {exc}"}
-                record["completed_unix"] = time.time()
-                self._jobs[job.job_id] = record
-                continue
-            record["n_points"] = len(specs)
-            self._jobs[job.job_id] = record
-            self._loop.create_task(self._run_job(record, body, ctx))
-            metrics.add("service.jobs.resumed")
-        if self._journal.repaired_bytes:
-            metrics.add("service.journal.repaired_bytes",
-                        self._journal.repaired_bytes)
-
-    def request_drain(self) -> None:
-        """Begin graceful shutdown (idempotent; safe from a signal handler).
-
-        New work is rejected with 503 immediately; in-flight waves
-        finish and deliver their responses; the drain completes once
-        the queue is empty and every response has been written.
-        """
-        if self._draining or self._loop is None:
-            return
-        self._draining = True
-        self._loop.create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()  # stop accepting new connections
-        while (self._active_points or self._busy_requests
-               or not self._queue.empty()
-               or any(r["status"] == "running"
-                      for r in self._jobs.values())):
-            await asyncio.sleep(0.01)
+    async def _stop_backend(self) -> None:
         await self._queue.put(None)  # stop the batcher
-        if self._batcher_task is not None:
-            await self._batcher_task
-        # Idle keep-alive connections would outlive the loop otherwise.
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        if self._server is not None:
-            await self._server.wait_closed()
-        self._drained_event.set()
-
-    async def serve_until_drained(self) -> None:
-        """Block until a drain (SIGTERM, /v1/drain, or shutdown()) finishes."""
-        await self._drained_event.wait()
-
-    def start_in_thread(self, timeout: float = 30.0) -> Tuple[str, int]:
-        """Run the service on a dedicated event-loop thread; returns the address."""
-        started = threading.Event()
-        failure: List[BaseException] = []
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            try:
-                asyncio.set_event_loop(loop)
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # surface bind errors to the caller
-                failure.append(exc)
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_until_complete(self.serve_until_drained())
-                loop.run_until_complete(loop.shutdown_default_executor())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-service", daemon=True)
-        self._thread.start()
-        if not started.wait(timeout):
-            raise RuntimeError("service did not start in time")
-        if failure:
-            raise failure[0]
-        return self.host, self.port
-
-    def shutdown(self, timeout: float = 60.0) -> None:
-        """Drain a :meth:`start_in_thread` service and join its thread."""
-        if self._loop is not None and not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self.request_drain)
-            except RuntimeError:
-                pass  # loop already closed between the check and the call
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    async def _amain(self) -> None:
-        await self.start()
-        print(f"repro-service listening on http://{self.host}:{self.port}",
-              flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await self.serve_until_drained()
-        print("repro-service drained cleanly", flush=True)
-
-    def serve_forever(self) -> int:
-        """The CLI entry: serve until SIGTERM/SIGINT drains us; exit 0."""
-        asyncio.run(self._amain())
-        return 0
+        await self._batcher_task
 
     # -- admission + single-flight + batching -----------------------------
     def _admit(self, specs: List[PointSpec]) -> None:
@@ -622,161 +442,6 @@ class ExperimentService:
                 workload=spec.workload, design=spec.design.name,
                 tier=tier or "failed", **ctx.span_fields())
 
-    # -- HTTP layer -------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                self._busy_requests += 1
-                try:
-                    status, payload, trace_id, extra = await self._route(
-                        method, path, headers, body)
-                    # Established connections stay alive through a drain
-                    # (so clients see a clean 503, not a reset); _drain()
-                    # force-closes them once the last response is written.
-                    keep_alive = (headers.get("connection", "").lower()
-                                  != "close")
-                    await self._write_response(
-                        writer, status, payload, keep_alive, trace_id,
-                        extra_headers=extra)
-                finally:
-                    self._busy_requests -= 1
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, asyncio.LimitOverrunError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    # Shared HTTP/1.1 framing (also spoken by the sharding gateway).
-    _read_request = staticmethod(http11.read_request)
-
-    @staticmethod
-    async def _write_response(writer: asyncio.StreamWriter, status: int,
-                              payload: Any, keep_alive: bool,
-                              trace_id: str = "-",
-                              extra_headers: Optional[Dict[str, str]] = None,
-                              ) -> None:
-        await http11.write_response(writer, status, payload, keep_alive,
-                                    trace_id, extra_headers=extra_headers)
-
-    async def _route(self, method: str, path: str, headers: Dict[str, str],
-                     body: bytes) -> Tuple[int, Any, str, Dict[str, str]]:
-        # Adopt the caller's trace context (X-Trace-Id/X-Parent-Span)
-        # when present; otherwise this request starts a fresh trace.
-        ctx = TraceContext.from_headers(headers)
-        metrics = self.obs.metrics
-        metrics.add("service.requests")
-        started = time.perf_counter()
-        extra: Dict[str, str] = {}
-        try:
-            status, payload = await self._dispatch(
-                method, path, headers, body, ctx)
-        except ProtocolError as exc:
-            status, payload = exc.status, exc.body()
-            extra = exc.headers()
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            metrics.add("service.errors.internal")
-            status, payload = 500, {
-                "error": protocol.ERROR_INTERNAL,
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        if isinstance(payload, dict):
-            payload.setdefault("trace_id", ctx.trace_id)
-        metrics.add(f"service.http.{status}")
-        dur = time.perf_counter() - started
-        metrics.histogram("service.request_seconds").record(dur)
-        if self.obs.tracing:
-            self.obs.tracer.emit(
-                "span", time.time(), name="service.request", dur=dur,
-                method=method, path=path, status=status,
-                **ctx.span_fields())
-        return status, payload, ctx.trace_id, extra
-
-    async def _dispatch(self, method: str, path: str,
-                        headers: Dict[str, str], body: bytes,
-                        ctx: TraceContext) -> Tuple[int, Any]:
-        if path == "/healthz":
-            self._require(method, "GET")
-            return 200, self._health_payload()
-        if path == "/metrics":
-            self._require(method, "GET")
-            snapshot = self._metrics_payload()
-            if "application/json" in headers.get("accept", ""):
-                return 200, snapshot
-            text = render_prometheus(self.obs.metrics)
-            return 200, _Raw(text.encode("utf-8"), _PROM_CONTENT_TYPE)
-        if path == "/v1/simulate":
-            self._require(method, "POST")
-            self._reject_if_draining()
-            return await self._simulate(self._decode(body), ctx,
-                                        deadline=self._parse_deadline(headers))
-        if path == "/v1/jobs":
-            self._require(method, "POST")
-            self._reject_if_draining()
-            return self._submit_job(self._decode(body), ctx, body)
-        if path == "/v1/sweep":
-            # A sweep is a durable job: the raw spec body is journaled
-            # before the 202 ack, so it survives a restart and replays
-            # through the same sweep-aware parser.
-            self._require(method, "POST")
-            self._reject_if_draining()
-            decoded = self._decode(body)
-            if not isinstance(decoded, dict) or "sweep" not in decoded:
-                raise ProtocolError(
-                    400, protocol.ERROR_BAD_REQUEST,
-                    "request needs a 'sweep' object (a SweepSpec)")
-            return self._submit_job(decoded, ctx, body)
-        if path.startswith("/v1/jobs/"):
-            self._require(method, "GET")
-            return self._job_status(path[len("/v1/jobs/"):])
-        if path == "/v1/drain":
-            self._require(method, "POST")
-            self.request_drain()
-            return 202, {"status": "draining"}
-        raise ProtocolError(404, protocol.ERROR_NOT_FOUND,
-                            f"no route for {path!r}")
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise ProtocolError(
-                405, protocol.ERROR_BAD_REQUEST,
-                f"method {method} not allowed here (use {expected})")
-
-    def _reject_if_draining(self) -> None:
-        if self._draining:
-            self.obs.metrics.add("service.rejected.draining")
-            raise ProtocolError(
-                503, protocol.ERROR_DRAINING,
-                "service is draining; no new work accepted")
-
-    @staticmethod
-    def _decode(body: bytes) -> Any:
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(
-                400, protocol.ERROR_BAD_REQUEST,
-                f"request body is not valid JSON: {exc}")
-
-    @staticmethod
-    def _parse_deadline(headers: Dict[str, str]) -> Optional[float]:
-        """``X-Deadline-Ms`` (remaining budget) → absolute monotonic instant."""
-        return protocol.parse_deadline_header(headers)
-
     # -- endpoints --------------------------------------------------------
     def _parse_points(self, body: Any) -> List[PointSpec]:
         if isinstance(body, dict) and "sweep" in body:
@@ -788,15 +453,23 @@ class ExperimentService:
             body, self._base_scale, self._base_config,
             check_invariants=self.cache.check_invariants)
 
-    async def _simulate(self, body: Any, ctx: TraceContext,
+    def _accept_job(self, body: bytes, admit: bool = True) -> int:
+        specs = self._parse_points(self._decode(body))
+        if admit:
+            self._admit(specs)  # shed at the door, never after journaling
+        return len(specs)
+
+    async def _simulate(self, body: bytes, ctx: TraceContext,
                         deadline: Optional[float] = None,
-                        enforce_admission: bool = True,
+                        admitted: bool = False,
                         ) -> Tuple[int, Dict[str, Any]]:
-        specs = self._parse_points(body)
-        include_counters = bool(isinstance(body, dict)
-                                and body.get("include_counters"))
-        if isinstance(body, dict) and isinstance(body.get("sweep"), dict):
-            output = body["sweep"].get("output")
+        request = self._decode(body)
+        specs = self._parse_points(request)
+        include_counters = bool(isinstance(request, dict)
+                                and request.get("include_counters"))
+        if (isinstance(request, dict)
+                and isinstance(request.get("sweep"), dict)):
+            output = request["sweep"].get("output")
             include_counters = include_counters or bool(
                 isinstance(output, dict) and output.get("include_counters"))
         started = time.perf_counter()
@@ -812,7 +485,7 @@ class ExperimentService:
                     hits[index] = result
         pending = [spec for index, spec in enumerate(specs)
                    if index not in hits]
-        if enforce_admission:
+        if not admitted:
             self._admit(pending)
         for index, result in hits.items():
             self._record_point(
@@ -877,88 +550,13 @@ class ExperimentService:
             return 500, payload
         return 200, payload
 
-    def _submit_job(self, body: Any, ctx: TraceContext,
-                    raw_body: bytes = b"") -> Tuple[int, Dict[str, Any]]:
-        specs = self._parse_points(body)  # validate before accepting
-        self._admit(specs)  # shed at the door, never after journaling
-        job_id = uuid.uuid4().hex
-        submitted = time.time()
-        if self._journal is not None:
-            # Journal before acknowledging: an accepted job is on disk
-            # by definition, so a crash after the 202 cannot lose it.
-            self._journal.record_submitted(
-                job_id, raw_body, ctx.trace_id, submitted)
-        record: Dict[str, Any] = {
-            "job_id": job_id,
-            "status": "running",
-            "trace_id": ctx.trace_id,
-            "submitted_unix": submitted,
-            "n_points": len(specs),
-            "result": None,
-        }
-        self._jobs[job_id] = record
-        while len(self._jobs) > _MAX_JOBS:
-            self._evict_one_job()
-        self._loop.create_task(self._run_job(record, body, ctx))
-        self.obs.metrics.add("service.jobs.submitted")
-        return 202, {"job_id": job_id, "status": "running",
-                     "n_points": len(specs), "trace_id": ctx.trace_id}
-
-    def _evict_one_job(self) -> None:
-        for job_id, record in self._jobs.items():
-            if record["status"] != "running":
-                del self._jobs[job_id]
-                return
-        self._jobs.popitem(last=False)  # all running: drop the oldest
-
-    async def _run_job(self, record: Dict[str, Any], body: Any,
-                       ctx: TraceContext) -> None:
-        try:
-            # Admission was decided when the job was accepted (and
-            # journaled); an accepted job always runs, even if interactive
-            # load has since filled the inflight budget.
-            status, payload = await self._simulate(
-                body, ctx, enforce_admission=False)
-        except ProtocolError as exc:
-            status, payload = exc.status, exc.body()
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            status = 500
-            payload = {"error": protocol.ERROR_INTERNAL,
-                       "message": f"{type(exc).__name__}: {exc}"}
-        record["result"] = payload
-        record["status"] = "done" if status == 200 else "failed"
-        record["completed_unix"] = time.time()
-        if self._journal is not None:
-            self._journal.record_finished(
-                record["job_id"], record["status"], payload,
-                record["completed_unix"])
-
-    def _job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
-        record = self._jobs.get(job_id)
-        if record is None:
-            raise ProtocolError(404, protocol.ERROR_NOT_FOUND,
-                                f"unknown job {job_id!r}")
-        payload = {key: record[key] for key in
-                   ("job_id", "status", "n_points", "submitted_unix")}
-        if record["status"] != "running":
-            payload["result"] = record["result"]
-            payload["completed_unix"] = record["completed_unix"]
-        return 200, payload
-
-    def _health_payload(self) -> Dict[str, Any]:
+    def _health(self) -> Dict[str, Any]:
         cache = self.cache
         return {
-            "status": "draining" if self._draining else "ok",
-            "uptime_seconds": time.time() - self._started_at,
             "queue_depth": self._queue.qsize(),
             "inflight_points": self._active_points,
             "max_inflight": self.max_inflight,
             "shed_total": self._shed_total,
-            "busy_requests": self._busy_requests,
-            "jobs_running": sum(1 for r in self._jobs.values()
-                                if r["status"] == "running"),
             "jobs_journal": (self._journal.path
                              if self._journal is not None else None),
             "pool": {
@@ -976,7 +574,7 @@ class ExperimentService:
                                for name in protocol.DESIGNS_BY_NAME}),
         }
 
-    def _metrics_payload(self) -> Dict[str, Any]:
+    async def _metrics(self, headers: Dict[str, str]) -> Tuple[int, Any]:
         metrics = self.obs.metrics
         metrics.set_gauge("service.queue_depth", self._queue.qsize())
         metrics.set_gauge("service.inflight_points", self._active_points)
@@ -984,9 +582,10 @@ class ExperimentService:
         metrics.set_gauge("service.simulations_run",
                           self.cache.simulations_run)
         metrics.set_gauge("service.waves_run", self._waves_run)
-        metrics.set_gauge("service.uptime_seconds",
-                          time.time() - self._started_at)
-        return metrics.snapshot()
+        if "application/json" in headers.get("accept", ""):
+            return 200, metrics.snapshot()
+        text = render_prometheus(metrics)
+        return 200, _Raw(text.encode("utf-8"), _PROM_CONTENT_TYPE)
 
 
 def run_server(
@@ -1008,31 +607,15 @@ def run_server(
 ) -> int:
     """Build and run a service until SIGTERM/SIGINT drains it (CLI path).
 
-    ``max_inflight`` bounds admitted points (shed with 429 beyond it);
-    ``jobs_journal`` persists ``/v1/jobs`` across restarts.
-    ``trace_out`` streams every request/point/worker span to a
-    JSON-lines file (view with ``repro-experiment trace show``);
-    ``metrics_out`` writes the final metrics snapshot on drain.
+    The arguments are :class:`ExperimentService`'s; ``trace_out`` and
+    ``metrics_out`` are :func:`~repro.service.frontend.run_frontend`'s.
     """
-    obs = None
-    if trace_out or metrics_out:
-        from repro.obs import JsonLinesTracer
-
-        tracer = JsonLinesTracer(trace_out) if trace_out else None
-        obs = Observability(tracer=tracer)
-    service = ExperimentService(
-        host=host, port=port, jobs=jobs, scale=scale, cache_dir=cache_dir,
-        checkpoint=checkpoint, check_invariants=check_invariants,
-        point_timeout=point_timeout, point_retries=point_retries,
-        batch_window=batch_window, max_batch=max_batch,
-        max_inflight=max_inflight, jobs_journal=jobs_journal, obs=obs)
-    try:
-        return service.serve_forever()
-    finally:
-        if obs is not None:
-            obs.close()
-        if metrics_out:
-            with open(metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(service.obs.metrics.snapshot(), handle,
-                          indent=2, sort_keys=True)
-                handle.write("\n")
+    return run_frontend(
+        lambda obs: ExperimentService(
+            host=host, port=port, jobs=jobs, scale=scale,
+            cache_dir=cache_dir, checkpoint=checkpoint,
+            check_invariants=check_invariants, point_timeout=point_timeout,
+            point_retries=point_retries, batch_window=batch_window,
+            max_batch=max_batch, max_inflight=max_inflight,
+            jobs_journal=jobs_journal, obs=obs),
+        trace_out, metrics_out)

@@ -291,6 +291,7 @@ def test_gateway_simulations_total_sums_the_replicas(tmp_path):
                     for replica in gw.replicas]
             assert sims == [1, 1]
             assert reply.simulations_run_total == sum(sims)
+            assert client.healthz().simulations_run == sum(sims)
     finally:
         gw.shutdown()
 

@@ -28,6 +28,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     design_slug,
+    launch_local_gateway,
     resolve_design,
 )
 from repro.service.protocol import (
@@ -60,6 +61,21 @@ def service(tmp_path):
 def client(service):
     with ServiceClient(service.host, service.port) as c:
         yield c
+
+
+@pytest.fixture(params=["service", "gateway"])
+def front(request, tmp_path):
+    """Either front end: a plain service or a 1-replica thread gateway."""
+    if request.param == "service":
+        yield request.getfixturevalue("service")
+        return
+    gw = launch_local_gateway(
+        1, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
+        batch_window=0.005)
+    try:
+        yield gw
+    finally:
+        gw.shutdown()
 
 
 # -- protocol unit tests --------------------------------------------------
@@ -242,13 +258,17 @@ def test_unknown_workload_is_400(client):
     assert "known workloads" in exc.value.message
 
 
-def test_unknown_route_is_404_and_wrong_method_is_405(client):
-    with pytest.raises(ServiceError) as exc:
-        client._request("GET", "/v1/nope")
-    assert exc.value.status == 404
-    with pytest.raises(ServiceError) as exc:
-        client._request("GET", "/v1/simulate")
-    assert exc.value.status == 405
+def test_unknown_route_is_404_and_wrong_method_is_405(front):
+    with ServiceClient(front.host, front.port) as client:
+        with pytest.raises(ServiceError) as exc:
+            client._request("GET", "/v1/nope")
+        assert exc.value.status == 404
+        with pytest.raises(ServiceError) as exc:
+            client._request("GET", "/v1/simulate")
+        assert exc.value.status == 405
+        with pytest.raises(ServiceError) as exc:
+            client._request("POST", "/v1/simulate", [])
+        assert exc.value.status == 400 and exc.value.code == "bad_request"
 
 
 def test_healthz_shape_and_per_request_overrides(client):
@@ -267,17 +287,17 @@ def test_healthz_shape_and_per_request_overrides(client):
     assert client.simulate([POINT]).points[0].tier == "memo"
 
 
-def test_new_work_rejected_with_503_while_draining(service):
-    with ServiceClient(service.host, service.port) as c:
-        job_id = c.submit([OTHER_POINT])  # occupy the service ...
+def test_new_work_rejected_with_503_while_draining(front):
+    with ServiceClient(front.host, front.port) as c:
+        job_id = c.submit([OTHER_POINT])  # occupy the front end ...
         c.drain()  # ... so the drain stays in progress
         with pytest.raises(ServiceError) as exc:
             c.simulate([POINT])
         assert exc.value.status == 503 and exc.value.code == "draining"
         assert c.healthz().status == "draining"
-    service.shutdown()
+    front.shutdown()
     # The in-flight job still completed before the drain finished.
-    record = service._jobs[job_id]
+    record = front._jobs[job_id]
     assert record["status"] == "done"
 
 
