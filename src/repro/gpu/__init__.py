@@ -1,7 +1,6 @@
-"""GPU substrate: compute units, coalescer, scratchpad."""
+"""GPU substrate: coalescer, scratchpad."""
 
 from repro.gpu.coalescer import CoalescedRequest, Coalescer
-from repro.gpu.cu import ComputeUnit
 from repro.gpu.scratchpad import Scratchpad
 
-__all__ = ["CoalescedRequest", "Coalescer", "ComputeUnit", "Scratchpad"]
+__all__ = ["CoalescedRequest", "Coalescer", "Scratchpad"]

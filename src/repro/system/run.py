@@ -236,8 +236,9 @@ def simulate(
     pending_pos = [0] * n_cus
     pending_last = [0] * n_cus  # index of the instruction's final request
     pending_scratch = [False] * n_cus
-    # Per-CU issue-window state: the :class:`~repro.gpu.cu.ComputeUnit`
-    # model, inlined as parallel arrays.  The issue loop runs once per
+    # Per-CU issue-window state, as parallel arrays: a CU issues while
+    # fewer than ``cu_window`` requests are in flight, and otherwise
+    # stalls until its oldest one completes.  The issue loop runs once per
     # coalesced request (plus window retries) and dominates end-to-end
     # simulation time, so the per-CU bookkeeping lives in plain lists
     # and the loop's bindings — heap ops, the hierarchy's access method,

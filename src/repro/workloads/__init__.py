@@ -1,8 +1,8 @@
 """Workload trace generators (Rodinia-like and Pannotia-like kernels)."""
 
-from repro.workloads.trace import MemoryInstruction, Trace, round_robin_requests
+from repro.workloads.trace import MemoryInstruction, Trace
 
-__all__ = ["MemoryInstruction", "Trace", "round_robin_requests"]
+__all__ = ["MemoryInstruction", "Trace"]
 
 from repro.workloads.registry import (  # noqa: E402
     HIGH_BANDWIDTH,
@@ -10,7 +10,6 @@ from repro.workloads.registry import (  # noqa: E402
     WORKLOADS,
     load,
 )
-from repro.workloads.serialization import load_trace, save_trace  # noqa: E402
 from repro.workloads.synthetic import (  # noqa: E402
     gather_kernel,
     multiprocess_homonyms,
@@ -19,6 +18,5 @@ from repro.workloads.synthetic import (  # noqa: E402
 
 __all__ += [
     "HIGH_BANDWIDTH", "LOW_BANDWIDTH", "WORKLOADS", "load",
-    "load_trace", "save_trace",
     "gather_kernel", "multiprocess_homonyms", "synonym_stress",
 ]

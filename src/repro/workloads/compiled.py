@@ -1,16 +1,17 @@
 """Compiled binary traces: precoalesced, mmap-able workload replays.
 
-Loading a workload normally means *running its algorithm* (BFS over a
-generated graph, Floyd-Warshall over a matrix, …) and then coalescing
-every instruction's lane addresses through a Python dict — for the
-default scales that costs as much as simulating the result.  This
-module compiles a generated :class:`~repro.workloads.trace.Trace` once
-into structure-of-arrays NumPy containers whose coalesced line
-requests are precomputed in one vectorized pass
-(:func:`~repro.gpu.coalescer.coalesce_arrays`), and persists them as
-plain ``.npy`` files that later processes **mmap read-only** instead of
-regenerating: a warm ``registry.load``, a bench rerun, and every
-``run_many`` pool worker then share one on-disk compilation.
+A :class:`CompiledTrace` is the form every workload generator returns:
+structure-of-arrays NumPy containers holding each instruction's lane
+addresses and flags, plus its coalesced line requests, computed once
+for the whole trace in one vectorized pass
+(:func:`~repro.gpu.coalescer.coalesce_arrays`, via
+:func:`compile_arrays`).  Generation — *running the algorithm*, BFS
+over a generated graph, Floyd-Warshall over a matrix, … — can cost as
+much as simulating the result, so :class:`TraceStore` persists
+compilations as plain ``.npy`` files that later processes **mmap
+read-only** instead of regenerating: a warm ``registry.load``, a bench
+rerun, and every ``run_many`` pool worker then share one on-disk
+compilation.
 
 The on-disk layout is one directory per compilation key
 ``(workload, scale, seed, line_size)`` under ``<cache-dir>/traces/``::
@@ -28,10 +29,10 @@ The on-disk layout is one directory per compilation key
 Directories are written to a temp name and renamed into place, so
 concurrent writers are safe; a corrupt or truncated compilation is
 deleted and treated as a miss — the caller regenerates.  The address
-space is replayed from its allocation log exactly as
-:mod:`repro.workloads.serialization` does, so the virtual→physical
-layout — and therefore every simulated cycle — is bit-identical to a
-freshly generated trace.
+space is not pickled but replayed from its allocation log
+(:func:`mapping_rows`, :func:`rebuild_address_space`); frame allocation
+is deterministic, so the virtual→physical layout — and therefore every
+simulated cycle — is bit-identical to a freshly generated trace.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.gpu.coalescer import CoalescedRequest, coalesce_arrays
+from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import DEFAULT_LINE_SIZE
-from repro.workloads.serialization import (
-    mapping_rows,
-    rebuild_address_space,
-)
+from repro.memsys.permissions import Permissions
 from repro.workloads.trace import (
     MemoryInstruction,
     Trace,
@@ -61,8 +60,11 @@ __all__ = [
     "COMPILED_FORMAT_VERSION",
     "CompiledTrace",
     "TraceStore",
+    "compile_arrays",
     "compile_trace",
     "load_compiled",
+    "mapping_rows",
+    "rebuild_address_space",
     "save_compiled",
     "store_key",
 ]
@@ -84,9 +86,12 @@ _ARRAY_FILES = (
 class CompiledTrace:
     """A trace compiled to structure-of-arrays form.
 
-    Exposes the surface :func:`~repro.system.run.simulate` and the
-    experiment drivers touch directly — ``name``, ``issue_interval``,
-    ``metadata``, ``address_space``, ``n_cus``, ``n_instructions`` and
+    What every workload generator returns and every ``registry.load``
+    hands back, whether generated in this process or mmapped from a
+    :class:`TraceStore`.  Exposes the surface
+    :func:`~repro.system.run.simulate` and the experiment drivers touch
+    directly — ``name``, ``issue_interval``, ``metadata``,
+    ``address_space``, ``n_cus``, ``n_instructions`` and
     :meth:`coalesced_per_cu` — from the arrays alone.  Anything else
     (``per_cu``, ``truncated``, divergence statistics) transparently
     *thaws* the full :class:`~repro.workloads.trace.Trace` from the
@@ -281,18 +286,63 @@ class CompiledTrace:
                 f"line_size={self.line_size})")
 
 
-def compile_trace(trace: Trace,
-                  line_size: int = DEFAULT_LINE_SIZE) -> CompiledTrace:
-    """Compile a generated trace into structure-of-arrays form.
+def compile_arrays(name: str, issue_interval: float,
+                   metadata: Dict[str, object], address_space,
+                   lanes, lane_counts, flags, cu_bounds,
+                   line_size: int = DEFAULT_LINE_SIZE) -> CompiledTrace:
+    """Compile flat instruction arrays into a :class:`CompiledTrace`.
 
-    One flattening pass over the instruction streams builds the lane
-    arrays; the coalesced request arrays come from a single vectorized
+    ``lanes`` concatenates every instruction's lane addresses,
+    ``lane_counts[i]`` and ``flags[i]`` (bit0 = write, bit1 =
+    scratchpad) describe instruction ``i``, and ``cu_bounds`` holds the
+    instruction offset where each CU's stream starts, plus the total.
+    The coalesced request arrays come from a single vectorized
     :func:`~repro.gpu.coalescer.coalesce_arrays` call over every
     instruction at once.  Scratchpad instructions contribute zero
     requests (they never reach the memory hierarchy).
     """
-    if trace.address_space is None:
+    if address_space is None:
         raise ValueError("only traces with an address space can be compiled")
+    lanes = np.asarray(lanes, dtype=np.int64)
+    lane_counts = np.asarray(lane_counts, dtype=np.int64)
+    flags = np.asarray(flags, dtype=np.int8)
+    req_line, req_lanes, counts = coalesce_arrays(lanes, lane_counts,
+                                                  line_size)
+    scratch = (flags & 2) != 0
+    if bool(scratch.any()):
+        # Drop scratchpad instructions' requests: they coalesce to None.
+        inst_of_req = np.repeat(
+            np.arange(len(counts), dtype=np.int64), counts)
+        keep = ~scratch[inst_of_req]
+        req_line = req_line[keep]
+        req_lanes = req_lanes[keep]
+        counts = np.where(scratch, 0, counts)
+    return CompiledTrace(
+        name=name,
+        issue_interval=issue_interval,
+        metadata=metadata,
+        address_space=address_space,
+        line_size=line_size,
+        cu_bounds=np.asarray(cu_bounds, dtype=np.int64),
+        inst_flags=flags,
+        inst_req_counts=np.asarray(counts, dtype=np.int64),
+        req_line=np.asarray(req_line, dtype=np.int64),
+        req_lanes=np.asarray(req_lanes, dtype=np.int64),
+        lane_counts=lane_counts,
+        lanes=lanes,
+    )
+
+
+def compile_trace(trace: Union[Trace, CompiledTrace],
+                  line_size: int = DEFAULT_LINE_SIZE) -> CompiledTrace:
+    """Compile a hand-built trace into structure-of-arrays form.
+
+    One flattening pass over the instruction streams feeds
+    :func:`compile_arrays`.  A :class:`CompiledTrace` of the same line
+    size — what every generator returns — is returned unchanged.
+    """
+    if isinstance(trace, CompiledTrace) and trace.line_size == line_size:
+        return trace
     lanes: List[int] = []
     lane_counts: List[int] = []
     flags: List[int] = []
@@ -303,34 +353,9 @@ def compile_trace(trace: Trace,
             flags.append(int(inst.is_write) | (int(inst.scratchpad) << 1))
             lanes.extend(inst.addresses)
         cu_bounds.append(len(lane_counts))
-    lanes_arr = np.asarray(lanes, dtype=np.int64)
-    lane_counts_arr = np.asarray(lane_counts, dtype=np.int64)
-    flags_arr = np.asarray(flags, dtype=np.int8)
-    req_line, req_lanes, counts = coalesce_arrays(
-        lanes_arr, lane_counts_arr, line_size)
-    scratch = (flags_arr & 2) != 0
-    if bool(scratch.any()):
-        # Drop scratchpad instructions' requests: they coalesce to None.
-        inst_of_req = np.repeat(
-            np.arange(len(counts), dtype=np.int64), counts)
-        keep = ~scratch[inst_of_req]
-        req_line = req_line[keep]
-        req_lanes = req_lanes[keep]
-        counts = np.where(scratch, 0, counts)
-    return CompiledTrace(
-        name=trace.name,
-        issue_interval=trace.issue_interval,
-        metadata=dict(trace.metadata),
-        address_space=trace.address_space,
-        line_size=line_size,
-        cu_bounds=np.asarray(cu_bounds, dtype=np.int64),
-        inst_flags=flags_arr,
-        inst_req_counts=np.asarray(counts, dtype=np.int64),
-        req_line=np.asarray(req_line, dtype=np.int64),
-        req_lanes=np.asarray(req_lanes, dtype=np.int64),
-        lane_counts=lane_counts_arr,
-        lanes=lanes_arr,
-    )
+    return compile_arrays(trace.name, trace.issue_interval,
+                          dict(trace.metadata), trace.address_space,
+                          lanes, lane_counts, flags, cu_bounds, line_size)
 
 
 def store_key(name: str, scale: float, seed: Optional[int],
@@ -339,6 +364,59 @@ def store_key(name: str, scale: float, seed: Optional[int],
     seed_part = "default" if seed is None else str(seed)
     return (f"{name}-s{scale!r}-seed{seed_part}-ls{line_size}"
             f"-v{COMPILED_FORMAT_VERSION}")
+
+
+def mapping_rows(space: AddressSpace) -> List[dict]:
+    """JSON-able allocation log of ``space``.
+
+    Each row records one mapping (base VA, page count, permissions,
+    large flag) with synonym sources identified by physical equality,
+    so :func:`rebuild_address_space` can replay the exact layout.
+    """
+    rows = []
+    for m in space.mappings:
+        source = -1
+        pa = space.translate(m.base_va)
+        for j, other in enumerate(space.mappings):
+            if other is m:
+                break
+            if space.translate(other.base_va) == pa:
+                source = j
+                break
+        rows.append({
+            "base_va": m.base_va,
+            "n_pages": m.n_pages,
+            "permissions": int(m.permissions),
+            "large": m.large,
+            "synonym_of": source,
+        })
+    return rows
+
+
+def rebuild_address_space(asid: int, rows: List[dict]) -> AddressSpace:
+    """Replay a :func:`mapping_rows` log through a fresh address space.
+
+    Frame allocation is deterministic, so the replay reproduces the
+    exact virtual→physical layout; a row whose base VA disagrees with
+    the replayed allocation raises ``ValueError``.
+    """
+    space = AddressSpace(asid=asid)
+    rebuilt = []
+    for row in rows:
+        if row["synonym_of"] >= 0:
+            m = space.map_synonym(rebuilt[row["synonym_of"]],
+                                  permissions=Permissions(row["permissions"]))
+        else:
+            m = space.mmap(row["n_pages"],
+                           permissions=Permissions(row["permissions"]),
+                           large_pages=row["large"])
+        if m.base_va != row["base_va"]:
+            raise ValueError(
+                f"address-space replay diverged: expected base "
+                f"{row['base_va']:#x}, got {m.base_va:#x}"
+            )
+        rebuilt.append(m)
+    return space
 
 
 def save_compiled(compiled: CompiledTrace, directory: Union[str, Path],
@@ -478,11 +556,15 @@ class TraceStore:
             self.hits += 1
         return compiled
 
-    def store(self, trace: Trace, scale: float, seed: Optional[int],
+    def store(self, trace: Union[Trace, CompiledTrace], scale: float,
+              seed: Optional[int],
               line_size: int = DEFAULT_LINE_SIZE) -> Optional[Path]:
-        """Compile and persist ``trace``; ``None`` if it cannot be stored.
+        """Persist ``trace``; ``None`` if it cannot be stored.
 
-        I/O failures (full disk, permissions) are swallowed — losing a
+        A :class:`CompiledTrace` of this line size — what the
+        generators return — is saved as is; a hand-built
+        :class:`~repro.workloads.trace.Trace` is compiled first.  I/O
+        failures (full disk, permissions) are swallowed — losing a
         compilation only costs a regeneration next time.
         """
         try:

@@ -5,8 +5,10 @@ levels, PageRank sweeps, Floyd–Warshall updates, …) over data structures
 laid out in a simulated virtual address space, and record the per-lane
 addresses each warp-sized step would issue.  :class:`DeviceArray` is the
 layout piece (an array living in the address space); :class:`TraceBuilder`
-is the recording piece; :func:`warp_chunks` is the work distributor
-(block-cyclic warp scheduling over the CUs, as GPU runtimes do).
+is the recording piece, which compiles what it records straight into a
+:class:`~repro.workloads.compiled.CompiledTrace`; :func:`warp_chunks` is
+the work distributor (block-cyclic warp scheduling over the CUs, as GPU
+runtimes do).
 
 Trace *sampling*: real kernels execute millions of warps; the simulator
 is a Python model, so generators may emit only every ``sample``-th warp.
@@ -16,19 +18,18 @@ divergence) while bounding trace length; footprints are unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.memsys.address_space import AddressSpace, Mapping
 from repro.memsys.permissions import Permissions
-from repro.workloads.trace import MemoryInstruction, Trace
+from repro.workloads.compiled import CompiledTrace, compile_arrays
 
 __all__ = [
     "DeviceArray",
     "LANES",
     "TraceBuilder",
-    "clamp_indices",
     "strided_lane_addresses",
     "warp_chunks",
 ]
@@ -66,10 +67,16 @@ class DeviceArray:
         return self.mapping.base_va + index * self.element_size
 
     def addrs(self, indices: Iterable[int]) -> List[int]:
-        """Virtual byte addresses for a gather over ``indices``."""
-        base = self.mapping.base_va
-        size = self.element_size
-        return [base + int(i) * size for i in indices]
+        """Virtual byte addresses for a gather over ``indices``.
+
+        One vectorized gather over an int64 view of ``indices`` (an
+        index array, list or ``range``); ``tolist()`` hands back plain
+        Python ints.
+        """
+        if isinstance(indices, range):
+            indices = np.arange(indices.start, indices.stop, indices.step)
+        return (np.asarray(indices, dtype=np.int64) * self.element_size
+                + self.mapping.base_va).tolist()
 
     def row_addr(self, row: int, col: int, n_cols: int) -> int:
         """Address of element (row, col) of a row-major 2-D view."""
@@ -77,31 +84,49 @@ class DeviceArray:
 
 
 class TraceBuilder:
-    """Accumulates per-CU memory-instruction streams into a Trace."""
+    """Records per-CU memory-instruction streams as flat arrays.
+
+    Each CU keeps three flat lists — its lanes' addresses, each
+    instruction's lane count, and each instruction's flag (bit0 =
+    write, bit1 = scratchpad) — so recording builds no per-instruction
+    object.  :meth:`build` compiles them into a
+    :class:`~repro.workloads.compiled.CompiledTrace`, coalescing every
+    instruction in one vectorized pass.
+    """
 
     def __init__(self, n_cus: int = 16, lanes: int = LANES) -> None:
         if n_cus <= 0:
             raise ValueError("need at least one CU")
         self.n_cus = n_cus
         self.lanes = lanes
-        self.streams: List[List[MemoryInstruction]] = [[] for _ in range(n_cus)]
+        self._lanes: List[List[int]] = [[] for _ in range(n_cus)]
+        self._lane_counts: List[List[int]] = [[] for _ in range(n_cus)]
+        self._flags: List[List[int]] = [[] for _ in range(n_cus)]
 
-    def emit(self, cu: int, addresses: Sequence[int], is_write: bool = False) -> None:
+    def emit(self, cu: int, addresses: Iterable[int], is_write: bool = False) -> None:
         """Record one global-memory instruction on ``cu``."""
-        self.streams[cu % self.n_cus].append(
-            MemoryInstruction(addresses=tuple(addresses), is_write=is_write)
-        )
+        cu %= self.n_cus
+        lanes = self._lanes[cu]
+        before = len(lanes)
+        lanes.extend(addresses)
+        if len(lanes) == before:
+            raise ValueError("a memory instruction needs at least one lane address")
+        self._lane_counts[cu].append(len(lanes) - before)
+        self._flags[cu].append(1 if is_write else 0)
 
     def emit_scratch(self, cu: int, is_write: bool = False) -> None:
         """Record one scratchpad instruction (no TLB/cache traffic)."""
-        self.streams[cu % self.n_cus].append(
-            MemoryInstruction(addresses=(0,), is_write=is_write, scratchpad=True)
-        )
+        cu %= self.n_cus
+        self._lanes[cu].append(0)
+        self._lane_counts[cu].append(1)
+        self._flags[cu].append(3 if is_write else 2)
 
     def emit_scratch_burst(self, cu: int, count: int) -> None:
         """Record ``count`` scratchpad instructions (tile compute phases)."""
-        for _ in range(count):
-            self.emit_scratch(cu)
+        cu %= self.n_cus
+        self._lanes[cu].extend([0] * count)
+        self._lane_counts[cu].extend([1] * count)
+        self._flags[cu].extend([2] * count)
 
     def build(
         self,
@@ -109,17 +134,25 @@ class TraceBuilder:
         space: AddressSpace,
         issue_interval: float,
         **metadata,
-    ) -> Trace:
-        """Finalize into a :class:`Trace`."""
-        streams = [s for s in self.streams if s]
-        if not streams:
+    ) -> CompiledTrace:
+        """Compile the recorded streams; CUs that recorded nothing are dropped."""
+        cus = [cu for cu in range(self.n_cus) if self._lane_counts[cu]]
+        if not cus:
             raise ValueError(f"workload {name!r} produced an empty trace")
-        return Trace(
-            name=name,
-            per_cu=streams,
-            address_space=space,
-            issue_interval=issue_interval,
-            metadata=dict(metadata),
+        if issue_interval <= 0:
+            raise ValueError("issue interval must be positive")
+        cu_bounds = [0]
+        for cu in cus:
+            cu_bounds.append(cu_bounds[-1] + len(self._lane_counts[cu]))
+        return compile_arrays(
+            name, issue_interval, dict(metadata), space,
+            np.concatenate([np.asarray(self._lanes[cu], dtype=np.int64)
+                            for cu in cus]),
+            np.concatenate([np.asarray(self._lane_counts[cu], dtype=np.int64)
+                            for cu in cus]),
+            np.concatenate([np.asarray(self._flags[cu], dtype=np.int8)
+                            for cu in cus]),
+            cu_bounds,
         )
 
 
@@ -157,8 +190,3 @@ def strided_lane_addresses(
     base = array.base_va + start_index * array.element_size
     step = stride * array.element_size
     return [base + k * step for k in range(count)]
-
-
-def clamp_indices(indices: np.ndarray, n: int) -> np.ndarray:
-    """Clip gather indices into [0, n) (guard for synthetic data)."""
-    return np.clip(indices, 0, n - 1)

@@ -31,7 +31,7 @@ from repro.workloads.graphs import (
     segment_min,
     zipf_graph,
 )
-from repro.workloads.trace import Trace
+from repro.workloads.compiled import CompiledTrace
 
 __all__ = [
     "LANES",
@@ -122,7 +122,7 @@ class _GraphKernel:
             if vertex_writes is not None:
                 self.tb.emit(cu, vertex_writes.addrs(verts), is_write=True)
 
-    def build(self, name: str, issue_interval: float, **metadata) -> Trace:
+    def build(self, name: str, issue_interval: float, **metadata) -> CompiledTrace:
         metadata.setdefault("suite", "pannotia")
         metadata.setdefault("high_bandwidth", True)
         metadata.setdefault("n_vertices", self.graph.n_vertices)
@@ -134,7 +134,7 @@ class _GraphKernel:
 # PageRank (vertex-centric) and its SpMV formulation
 # ---------------------------------------------------------------------------
 
-def pagerank(scale: float = 1.0, seed: int = 0) -> Trace:
+def pagerank(scale: float = 1.0, seed: int = 0) -> CompiledTrace:
     """Vertex-centric PageRank: gather neighbor ranks, scale, store."""
     k = _GraphKernel(_scaled(160_000, scale, 4096), mean_degree=8, seed=seed)
     pr_old = k.prop("pr_old")
@@ -153,7 +153,7 @@ def pagerank(scale: float = 1.0, seed: int = 0) -> Trace:
     return k.build("pagerank", issue_interval=50.0)
 
 
-def pagerank_spmv(scale: float = 1.0, seed: int = 1) -> Trace:
+def pagerank_spmv(scale: float = 1.0, seed: int = 1) -> CompiledTrace:
     """SpMV-formulated PageRank: edge-parallel y += A·x sweeps."""
     k = _GraphKernel(_scaled(160_000, scale, 4096), mean_degree=8, seed=seed)
     g = k.graph
@@ -198,7 +198,7 @@ def _bfs_levels(graph: CSRGraph, source: int) -> List[np.ndarray]:
     return levels
 
 
-def bc(scale: float = 1.0, seed: int = 2) -> Trace:
+def bc(scale: float = 1.0, seed: int = 2) -> CompiledTrace:
     """Betweenness centrality: forward BFS + backward dependency pass."""
     k = _GraphKernel(_scaled(120_000, scale, 4096), mean_degree=6, seed=seed,
                      symmetric=True)
@@ -257,7 +257,7 @@ def _color_rounds(graph: CSRGraph, rng: np.random.Generator,
     return rounds
 
 
-def _color_workload(name: str, maxmin: bool, scale: float, seed: int) -> Trace:
+def _color_workload(name: str, maxmin: bool, scale: float, seed: int) -> CompiledTrace:
     k = _GraphKernel(_scaled(120_000, scale, 4096), mean_degree=8, seed=seed)
     priority = k.prop("priority")
     color = k.prop("color")
@@ -277,17 +277,17 @@ def _color_workload(name: str, maxmin: bool, scale: float, seed: int) -> Trace:
     return k.build(name, issue_interval=70.0)
 
 
-def color_max(scale: float = 1.0, seed: int = 3) -> Trace:
+def color_max(scale: float = 1.0, seed: int = 3) -> CompiledTrace:
     """Greedy graph colouring, max-priority rule."""
     return _color_workload("color_max", maxmin=False, scale=scale, seed=seed)
 
 
-def color_maxmin(scale: float = 1.0, seed: int = 4) -> Trace:
+def color_maxmin(scale: float = 1.0, seed: int = 4) -> CompiledTrace:
     """Greedy graph colouring choosing both max- and min-priority vertices."""
     return _color_workload("color_maxmin", maxmin=True, scale=scale, seed=seed)
 
 
-def mis(scale: float = 1.0, seed: int = 5) -> Trace:
+def mis(scale: float = 1.0, seed: int = 5) -> CompiledTrace:
     """Luby's maximal independent set: the most divergent graph kernel."""
     k = _GraphKernel(_scaled(130_000, scale, 4096), mean_degree=8, seed=seed)
     priority = k.prop("priority")
@@ -330,7 +330,7 @@ def mis(scale: float = 1.0, seed: int = 5) -> Trace:
 _FW_N = 1024  # 4 KB rows: one page per row, so column strides span pages
 
 
-def fw(scale: float = 1.0, seed: int = 6) -> Trace:
+def fw(scale: float = 1.0, seed: int = 6) -> CompiledTrace:
     """Unblocked Floyd–Warshall over a dense distance matrix.
 
     Warps alternate between row-parallel (lanes over j: coalesced) and
@@ -381,7 +381,7 @@ def fw(scale: float = 1.0, seed: int = 6) -> Trace:
                     suite="pannotia", high_bandwidth=True, matrix_n=n)
 
 
-def fw_block(scale: float = 1.0, seed: int = 7) -> Trace:
+def fw_block(scale: float = 1.0, seed: int = 7) -> CompiledTrace:
     """Blocked Floyd–Warshall: 32×32 tiles staged through the scratchpad."""
     n = _FW_N
     space = AddressSpace(asid=0)

@@ -11,26 +11,29 @@ workload's problem size / iteration count — useful for quick test runs
 ``(name, scale, seed)`` because generation (running the algorithms) can
 cost as much as simulating them.
 
-When a trace cache directory is configured (:func:`set_trace_cache`, or
-the ``REPRO_TRACE_CACHE`` environment variable — which the setter also
-exports so spawned pool workers inherit it), :func:`load` consults an
-on-disk :class:`~repro.workloads.compiled.TraceStore` before running any
+Every generator returns a :class:`~repro.workloads.compiled.CompiledTrace`
+— its lanes coalesced once, in one vectorized pass — and :func:`load`
+and :func:`load_fresh` hand that object to the caller, so no path
+coalesces a trace twice.  When a trace cache directory is configured
+(:func:`set_trace_cache`, or the ``REPRO_TRACE_CACHE`` environment
+variable — which the setter also exports so spawned pool workers
+inherit it), :func:`load` consults an on-disk
+:class:`~repro.workloads.compiled.TraceStore` before running any
 workload algorithm: a warm process mmaps the precompiled,
 precoalesced arrays instead of regenerating, and a cold process
-compiles once so every later process is warm.  :func:`load_fresh`
-never touches the store — fault injection mutates page tables, and a
-mutated compilation must never be shared.
+persists the generated compilation so every later process is warm.
+:func:`load_fresh` never touches the store — fault injection mutates
+page tables, and a mutated compilation must never be shared.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.workloads import pannotia, rodinia
-from repro.workloads.compiled import TraceStore
-from repro.workloads.trace import Trace
+from repro.workloads.compiled import CompiledTrace, TraceStore
 
 __all__ = [
     "HIGH_BANDWIDTH",
@@ -44,12 +47,11 @@ __all__ = [
     "is_high_bandwidth",
     "load",
     "load_fresh",
-    "load_many",
     "set_trace_cache",
     "trace_cache_stats",
 ]
 
-WorkloadFactory = Callable[..., Trace]
+WorkloadFactory = Callable[..., CompiledTrace]
 
 PANNOTIA: Dict[str, WorkloadFactory] = {
     "bc": pannotia.bc,
@@ -84,7 +86,7 @@ LOW_BANDWIDTH: Tuple[str, ...] = (
     "kmeans", "backprop", "hotspot", "nw", "pathfinder",
 )
 
-_cache: Dict[Tuple[str, float, Optional[int]], Trace] = {}
+_cache: Dict[Tuple[str, float, Optional[int]], CompiledTrace] = {}
 
 # On-disk compiled-trace store.  ``_trace_store`` is resolved lazily
 # from REPRO_TRACE_CACHE unless set_trace_cache() pinned it explicitly.
@@ -140,8 +142,13 @@ def default_scale() -> float:
     return scale
 
 
-def load(name: str, scale: Optional[float] = None, seed: Optional[int] = None) -> Trace:
-    """Build (or fetch the memoized) trace for workload ``name``."""
+def load(name: str, scale: Optional[float] = None,
+         seed: Optional[int] = None) -> CompiledTrace:
+    """Build (or fetch the memoized) compiled trace for workload ``name``.
+
+    A store hit mmaps the stored compilation; a miss, or no store,
+    returns the generator's own compilation (a miss persists it first).
+    """
     if name not in WORKLOADS:
         raise KeyError(
             f"unknown workload {name!r}; available: {', '.join(sorted(WORKLOADS))}"
@@ -153,10 +160,7 @@ def load(name: str, scale: Optional[float] = None, seed: Optional[int] = None) -
         store = _store()
         trace = store.load(name, scale, seed) if store is not None else None
         if trace is None:
-            kwargs = {"scale": scale}
-            if seed is not None:
-                kwargs["seed"] = seed
-            trace = WORKLOADS[name](**kwargs)
+            trace = load_fresh(name, scale, seed)
             if store is not None:
                 store.store(trace, scale, seed)
         _cache[key] = trace
@@ -164,7 +168,7 @@ def load(name: str, scale: Optional[float] = None, seed: Optional[int] = None) -
 
 
 def load_fresh(name: str, scale: Optional[float] = None,
-               seed: Optional[int] = None) -> Trace:
+               seed: Optional[int] = None) -> CompiledTrace:
     """Build a private, non-memoized trace instance.
 
     Fault injection mutates the trace's page table (remaps, unmaps), so
@@ -181,11 +185,6 @@ def load_fresh(name: str, scale: Optional[float] = None,
     if seed is not None:
         kwargs["seed"] = seed
     return WORKLOADS[name](**kwargs)
-
-
-def load_many(names, scale: Optional[float] = None) -> List[Trace]:
-    """Traces for several workloads (memoized)."""
-    return [load(name, scale=scale) for name in names]
 
 
 def clear_cache() -> None:

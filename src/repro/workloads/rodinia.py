@@ -19,7 +19,7 @@ import numpy as np
 from repro.memsys.address_space import AddressSpace
 from repro.workloads.device import DeviceArray, TraceBuilder, warp_chunks
 from repro.workloads.pannotia import _GraphKernel, _bfs_levels, _scaled
-from repro.workloads.trace import Trace
+from repro.workloads.compiled import CompiledTrace
 
 __all__ = [
     "LANES",
@@ -37,7 +37,7 @@ N_CUS = 16
 LANES = 32
 
 
-def bfs(scale: float = 1.0, seed: int = 10) -> Trace:
+def bfs(scale: float = 1.0, seed: int = 10) -> CompiledTrace:
     """Level-synchronous breadth-first search over a power-law graph."""
     k = _GraphKernel(_scaled(140_000, scale, 4096), mean_degree=6, seed=seed,
                      symmetric=True)
@@ -57,7 +57,7 @@ def bfs(scale: float = 1.0, seed: int = 10) -> Trace:
     return k.build("bfs", issue_interval=97.0, suite="rodinia", high_bandwidth=True)
 
 
-def kmeans(scale: float = 1.0, seed: int = 11) -> Trace:
+def kmeans(scale: float = 1.0, seed: int = 11) -> CompiledTrace:
     """K-means clustering: stream the point matrix, hot small centroids."""
     n_points = _scaled(96_000, scale, 4096)
     n_features = 16
@@ -85,7 +85,7 @@ def kmeans(scale: float = 1.0, seed: int = 11) -> Trace:
                     suite="rodinia", high_bandwidth=False)
 
 
-def backprop(scale: float = 1.0, seed: int = 12) -> Trace:
+def backprop(scale: float = 1.0, seed: int = 12) -> CompiledTrace:
     """Back-propagation: stream a large weight matrix forward and backward."""
     n_in = _scaled(4096, scale, 512)
     n_hidden = 512
@@ -110,7 +110,7 @@ def backprop(scale: float = 1.0, seed: int = 12) -> Trace:
                     suite="rodinia", high_bandwidth=False)
 
 
-def hotspot(scale: float = 1.0, seed: int = 13) -> Trace:
+def hotspot(scale: float = 1.0, seed: int = 13) -> CompiledTrace:
     """Thermal stencil over a 2-D grid with scratchpad tiling."""
     side = _scaled(1024, min(1.0, scale), 256)
     space = AddressSpace(asid=0)
@@ -135,7 +135,7 @@ def hotspot(scale: float = 1.0, seed: int = 13) -> Trace:
                     suite="rodinia", high_bandwidth=False)
 
 
-def lud(scale: float = 1.0, seed: int = 14) -> Trace:
+def lud(scale: float = 1.0, seed: int = 14) -> CompiledTrace:
     """LU decomposition: coalesced row panels, page-strided column panels."""
     n = 1024  # 4 KB rows: one page per row (column panels diverge)
     space = AddressSpace(asid=0)
@@ -170,7 +170,7 @@ def lud(scale: float = 1.0, seed: int = 14) -> Trace:
                     suite="rodinia", high_bandwidth=True, matrix_n=n)
 
 
-def nw(scale: float = 1.0, seed: int = 15) -> Trace:
+def nw(scale: float = 1.0, seed: int = 15) -> CompiledTrace:
     """Needleman–Wunsch: diagonal wavefront of scratchpad-staged tiles.
 
     Tile loads burst across one page per row; between bursts the kernel
@@ -210,7 +210,7 @@ def nw(scale: float = 1.0, seed: int = 15) -> Trace:
                     suite="rodinia", high_bandwidth=False, matrix_n=n)
 
 
-def pathfinder(scale: float = 1.0, seed: int = 16) -> Trace:
+def pathfinder(scale: float = 1.0, seed: int = 16) -> CompiledTrace:
     """Dynamic-programming grid walk: row streaming + scratchpad tiles."""
     width = _scaled(393_216, scale, 8192)
     n_rows = 14

@@ -17,7 +17,7 @@ import numpy as np
 from repro.memsys.address_space import AddressSpace, System
 from repro.memsys.permissions import Permissions
 from repro.workloads.device import DeviceArray, TraceBuilder
-from repro.workloads.trace import Trace
+from repro.workloads.compiled import CompiledTrace
 
 __all__ = [
     "LANES",
@@ -41,7 +41,7 @@ def synonym_stress(
     scatter_hot_lines: bool = False,
     n_cus: int = N_CUS,
     seed: int = 0,
-) -> Trace:
+) -> CompiledTrace:
     """Read-only data shared through several virtual aliases.
 
     A fraction of accesses go through non-leading aliases — the access
@@ -95,7 +95,7 @@ class MultiProcessWorkload:
 
     system: System
     spaces: List[AddressSpace]
-    traces: List[Trace]
+    traces: List[CompiledTrace]
     shared_base_vas: Tuple[int, int]
 
 
@@ -153,7 +153,7 @@ def gather_kernel(
     issue_interval: float = 30.0,
     n_cus: int = N_CUS,
     seed: int = 2,
-) -> Trace:
+) -> CompiledTrace:
     """A bare Zipf gather — the minimal high-translation-bandwidth kernel.
 
     Useful for calibration studies and microbenchmarks: one knob for

@@ -16,7 +16,7 @@ work in scratchpad and only burst into memory at kernel boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.gpu.coalescer import CoalescedRequest, Coalescer
 from repro.memsys.address_space import AddressSpace
@@ -27,7 +27,6 @@ __all__ = [
     "MemoryInstruction",
     "Trace",
     "TraceValidationError",
-    "round_robin_requests",
     "validate_trace",
 ]
 
@@ -208,25 +207,3 @@ class Trace:
             metadata=dict(self.metadata),
         )
 
-
-def round_robin_requests(
-    trace: Trace, line_size: int = DEFAULT_LINE_SIZE
-) -> Iterable[Tuple[int, MemoryInstruction, Sequence[int]]]:
-    """Interleave CU streams one instruction at a time.
-
-    Yields ``(cu_id, instruction, coalesced_lines)`` in the round-robin
-    global order the functional simulator uses.  Scratchpad instructions
-    are yielded with an empty line list.
-    """
-    cursors = [0] * trace.n_cus
-    remaining = trace.n_instructions
-    while remaining:
-        for cu_id, stream in enumerate(trace.per_cu):
-            i = cursors[cu_id]
-            if i >= len(stream):
-                continue
-            inst = stream[i]
-            cursors[cu_id] = i + 1
-            remaining -= 1
-            lines = () if inst.scratchpad else inst.lines(line_size)
-            yield cu_id, inst, lines

@@ -10,22 +10,33 @@ generated one.  Anything less would silently skew every figure.
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.gpu.coalescer import Coalescer, coalesce_arrays
+from repro.memsys.address_space import AddressSpace
 from repro.memsys.permissions import Permissions
 from repro.memsys.tlb import TLB
 from repro.system.config import SoCConfig
 from repro.system.designs import BASELINE_512, IDEAL_MMU, VC_WITH_OPT
 from repro.system.run import simulate
+from repro.workloads import compiled as compiled_module
 from repro.workloads import registry
 from repro.workloads.compiled import (
+    _ARRAY_FILES,
+    CompiledTrace,
     TraceStore,
     compile_trace,
     load_compiled,
     store_key,
 )
-from repro.workloads.trace import TraceValidationError, validate_trace
+from repro.workloads.device import TraceBuilder
+from repro.workloads.trace import (
+    MemoryInstruction,
+    Trace,
+    TraceValidationError,
+    validate_trace,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -94,15 +105,49 @@ class TestCoalesceArrays:
             coalesce_arrays([1], [1], 0)
 
 
+def _reference_requests(compiled):
+    """The dict :class:`Coalescer` run over every instruction's lanes.
+
+    Reads the lane arrays directly rather than through ``thaw()``,
+    whose trace is seeded with the compiled request lists.
+    """
+    coalesce = Coalescer(compiled.line_size).coalesce
+    lanes = compiled._lanes.tolist()
+    counts = compiled._lane_counts.tolist()
+    flags = compiled._inst_flags.tolist()
+    bounds = compiled._cu_bounds.tolist()
+    out, cursor = [], 0
+    for cu in range(compiled.n_cus):
+        stream = []
+        for i in range(bounds[cu], bounds[cu + 1]):
+            addresses = lanes[cursor:cursor + counts[i]]
+            cursor += counts[i]
+            stream.append(None if flags[i] & 2
+                          else coalesce(addresses, bool(flags[i] & 1)))
+        out.append(stream)
+    return out
+
+
+def _assert_same_compilation(a, b):
+    for stem, _dtype in _ARRAY_FILES:
+        x, y = getattr(a, f"_{stem}"), getattr(b, f"_{stem}")
+        assert x.dtype == y.dtype, stem
+        assert np.array_equal(x, y), stem
+    assert (a.name, a.issue_interval, a.metadata, a.line_size) == (
+        b.name, b.issue_interval, b.metadata, b.line_size)
+    assert a.address_space is b.address_space
+
+
 class TestCompiledTrace:
     def test_coalesced_lists_identical_to_fresh(self):
-        trace = _small_trace()
-        compiled = compile_trace(trace)
-        compiled.validate_fast()
-        _requests_equal(trace.coalesced_per_cu(), compiled.coalesced_per_cu())
+        for name in sorted(registry.WORKLOADS):
+            compiled = registry.load_fresh(name, scale=0.05)
+            compiled.validate_fast()
+            _requests_equal(_reference_requests(compiled),
+                            compiled.coalesced_per_cu())
 
     def test_simulate_surface(self):
-        trace = _small_trace()
+        trace = _small_trace().thaw()
         compiled = compile_trace(trace)
         assert compiled.n_cus == trace.n_cus
         assert compiled.n_instructions == trace.n_instructions
@@ -111,12 +156,51 @@ class TestCompiledTrace:
         assert compiled.address_space is trace.address_space
 
     def test_thaw_delegates_full_trace_api(self):
-        trace = _small_trace()
-        compiled = compile_trace(trace)
+        compiled = _small_trace()
+        thawed = compiled.thaw()
+        assert isinstance(thawed, Trace)
         # Attributes outside the compiled surface thaw transparently.
-        assert compiled.footprint_pages() == trace.footprint_pages()
-        assert len(compiled.per_cu) == trace.n_cus
-        assert compiled.thaw() is compiled.thaw()
+        assert compiled.footprint_pages() == thawed.footprint_pages()
+        assert len(compiled.per_cu) == compiled.n_cus
+        assert compiled.thaw() is thawed
+
+    def test_compile_trace_passes_compiled_through(self):
+        compiled = _small_trace()
+        assert compile_trace(compiled) is compiled
+        # Another line size recompiles, as the thawed trace would.
+        wide = compile_trace(compiled, line_size=128)
+        assert wide.line_size == 128
+        _assert_same_compilation(
+            wide, compile_trace(compiled.thaw(), line_size=128))
+
+    def test_builder_matches_hand_built_trace(self):
+        space = AddressSpace(asid=0)
+        tb = TraceBuilder(n_cus=4)
+        tb.emit(0, [0, 64, 4, 8192])
+        tb.emit(6, [4096, 4100], is_write=True)   # CU 6 wraps to CU 2
+        tb.emit_scratch_burst(2, 3)
+        tb.emit_scratch(0, is_write=True)
+        tb.emit(4, [128, 0, 132])                 # CU 4 wraps to CU 0
+        built = tb.build("mix", space, issue_interval=3.0, suite="test")
+        # CUs 1 and 3 recorded nothing and are dropped.
+        scratch = MemoryInstruction(addresses=(0,), scratchpad=True)
+        hand = Trace(
+            name="mix",
+            per_cu=[
+                [MemoryInstruction(addresses=(0, 64, 4, 8192)),
+                 MemoryInstruction(addresses=(0,), is_write=True,
+                                   scratchpad=True),
+                 MemoryInstruction(addresses=(128, 0, 132))],
+                [MemoryInstruction(addresses=(4096, 4100), is_write=True),
+                 scratch, scratch, scratch],
+            ],
+            address_space=space,
+            issue_interval=3.0,
+            metadata={"suite": "test"},
+        )
+        assert isinstance(built, CompiledTrace)
+        _assert_same_compilation(built, compile_trace(hand))
+        _requests_equal(_reference_requests(built), built.coalesced_per_cu())
 
     def test_validate_trace_dispatches_to_fast_path(self):
         compiled = compile_trace(_small_trace())
@@ -212,6 +296,39 @@ class TestStoreRoundTrip:
 
 
 class TestRegistryIntegration:
+    def test_load_returns_compiled_and_coalesces_once(self, tmp_path,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("re-coalesced through the dict Coalescer")
+
+        def no_objects(self):
+            raise AssertionError("built a per-lane MemoryInstruction")
+
+        monkeypatch.setattr(Coalescer, "coalesce", refuse)
+        monkeypatch.setattr(MemoryInstruction, "__post_init__", no_objects)
+        registry.set_trace_cache(tmp_path)      # a store miss
+        missed = registry.load("bfs", scale=0.05)
+        assert registry.trace_cache_stats()["stores"] == 1
+        registry.set_trace_cache(None)          # no store at all
+        unstored = registry.load("bfs", scale=0.05)
+        for trace in (missed, unstored):
+            assert isinstance(trace, CompiledTrace)
+            assert trace.coalesced_per_cu()
+        assert missed is not unstored
+
+    def test_store_saves_a_compiled_trace_without_recompiling(
+            self, tmp_path, monkeypatch):
+        compiled = _small_trace()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recompiled an already compiled trace")
+
+        monkeypatch.setattr(compiled_module, "compile_arrays", refuse)
+        path = TraceStore(tmp_path).store(compiled, 0.05, None)
+        assert path == TraceStore(tmp_path).path_for("bfs", 0.05, None)
+        _requests_equal(compiled.coalesced_per_cu(),
+                        load_compiled(path).coalesced_per_cu())
+
     def test_cold_load_stores_then_warm_load_hits(self, tmp_path):
         registry.set_trace_cache(tmp_path)
         cold = registry.load("bfs", scale=0.05)

@@ -1,9 +1,8 @@
-"""Tests for the GPU substrate: coalescer, compute unit, scratchpad."""
+"""Tests for the GPU substrate: coalescer, scratchpad."""
 
 import pytest
 
 from repro.gpu.coalescer import Coalescer
-from repro.gpu.cu import ComputeUnit
 from repro.gpu.scratchpad import Scratchpad
 
 
@@ -53,54 +52,6 @@ class TestCoalescer:
     def test_invalid_line_size(self):
         with pytest.raises(ValueError):
             Coalescer(line_size=0)
-
-
-class TestComputeUnit:
-    def test_issue_advances_by_gap(self):
-        cu = ComputeUnit(0, window=4, issue_interval=10.0)
-        cu.issue(0.0, 100.0, gap=1.0)
-        assert cu.next_issue_time == 1.0
-        cu.issue(1.0, 101.0, gap=10.0)
-        assert cu.next_issue_time == 11.0
-
-    def test_window_stalls_issue(self):
-        cu = ComputeUnit(0, window=2, issue_interval=1.0)
-        cu.issue(0.0, 100.0)
-        cu.issue(1.0, 200.0)
-        # Window full: next issue waits for the oldest completion.
-        assert cu.earliest_issue(2.0) == 100.0
-        assert cu.stall_cycles == 98.0
-
-    def test_completed_requests_retire(self):
-        cu = ComputeUnit(0, window=2, issue_interval=1.0)
-        cu.issue(0.0, 5.0)
-        cu.issue(1.0, 6.0)
-        # Both complete before cycle 10; no stall.
-        cu.issue(10.0, 20.0)
-        assert cu.in_flight() == 1
-
-    def test_drain_time(self):
-        cu = ComputeUnit(0, window=4, issue_interval=1.0)
-        cu.issue(0.0, 50.0)
-        cu.issue(1.0, 30.0)
-        assert cu.drain_time() == 50.0
-
-    def test_drain_time_after_retirement(self):
-        cu = ComputeUnit(0, window=2, issue_interval=1.0)
-        cu.issue(0.0, 5.0)
-        cu.issue(100.0, 110.0)  # first retired at issue
-        assert cu.drain_time() == 110.0
-
-    def test_completion_before_issue_rejected(self):
-        cu = ComputeUnit(0)
-        with pytest.raises(ValueError):
-            cu.issue(10.0, 5.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ComputeUnit(0, window=0)
-        with pytest.raises(ValueError):
-            ComputeUnit(0, issue_interval=0.0)
 
 
 class TestScratchpad:

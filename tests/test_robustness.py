@@ -10,6 +10,7 @@ CLI driver.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -35,7 +36,12 @@ from repro.system.designs import (
 )
 from repro.system.run import simulate
 from repro.workloads import registry
-from repro.workloads.serialization import load_trace, save_trace
+from repro.workloads.compiled import (
+    _ARRAY_FILES,
+    CompiledTrace,
+    TraceStore,
+    load_compiled,
+)
 from repro.workloads.trace import (
     MemoryInstruction,
     Trace,
@@ -237,52 +243,71 @@ class TestTraceValidation:
 
     def test_round_trip_still_loads(self, tmp_path):
         trace = tiny_trace()
-        path = save_trace(trace, tmp_path / "t.npz")
-        assert load_trace(path).n_instructions == trace.n_instructions
+        store = TraceStore(tmp_path)
+        store.store(trace, TINY, None)
+        loaded = store.load(trace.name, TINY, None)
+        assert loaded.n_instructions == trace.n_instructions
 
     @staticmethod
-    def _rewrite(path, out, **overrides):
-        """Copy a saved trace, replacing the named arrays."""
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays.update(overrides)
-        np.savez_compressed(out, **arrays)
-        return out
+    def _stored(tmp_path):
+        return TraceStore(tmp_path).store(tiny_trace(), TINY, None)
+
+    @staticmethod
+    def _overwrite(path, **arrays):
+        """Replace the named arrays of a stored compilation.
+
+        The recorded counts follow the new arrays, so only the
+        structural check under test can reject the compilation.
+        """
+        for stem, arr in arrays.items():
+            np.save(path / f"{stem}.npy", arr)
+        meta = json.loads((path / "meta.json").read_text())
+        counts = meta["counts"]
+        for key, stem in (("instructions", "inst_flags"),
+                          ("requests", "req_line"), ("lanes", "lanes")):
+            counts[key] = len(np.load(path / f"{stem}.npy"))
+        counts["cus"] = len(np.load(path / "cu_bounds.npy")) - 1
+        (path / "meta.json").write_text(json.dumps(meta))
+
+    @staticmethod
+    def _assert_rejected(path, match):
+        """Validation names the defect; loading drops the compilation."""
+        arrays = {stem: np.load(path / f"{stem}.npy")
+                  for stem, _dtype in _ARRAY_FILES}
+        compiled = CompiledTrace("t", 4.0, {}, None, 64, **arrays)
+        with pytest.raises(TraceValidationError, match=match):
+            compiled.validate_fast()
+        assert load_compiled(path) is None
+        assert not path.exists()
 
     def test_truncated_lane_array_rejected(self, tmp_path):
-        path = save_trace(tiny_trace(), tmp_path / "t.npz")
-        bad = self._rewrite(path, tmp_path / "bad.npz",
-                            lanes=np.asarray([], dtype=np.int64))
-        with pytest.raises(TraceValidationError, match="truncated"):
-            load_trace(bad)
+        path = self._stored(tmp_path)
+        self._overwrite(path, lanes=np.asarray([], dtype=np.int64))
+        self._assert_rejected(path, "lane array holds 0 addresses")
 
     def test_unknown_access_kind_rejected(self, tmp_path):
-        path = save_trace(tiny_trace(), tmp_path / "t.npz")
-        with np.load(path) as data:
-            flags = data["flags"].copy()
+        path = self._stored(tmp_path)
+        flags = np.load(path / "inst_flags.npy")
         flags[0] = 0x7F
-        bad = self._rewrite(path, tmp_path / "bad.npz", flags=flags)
-        with pytest.raises(TraceValidationError, match="unknown access kind"):
-            load_trace(bad)
+        self._overwrite(path, inst_flags=flags)
+        self._assert_rejected(path, "unknown instruction flag bits")
 
     def test_negative_lane_address_rejected(self, tmp_path):
-        path = save_trace(tiny_trace(), tmp_path / "t.npz")
-        with np.load(path) as data:
-            lanes = data["lanes"].copy()
+        path = self._stored(tmp_path)
+        lanes = np.load(path / "lanes.npy")
         lanes[0] = -8
-        bad = self._rewrite(path, tmp_path / "bad.npz", lanes=lanes)
-        with pytest.raises(TraceValidationError, match="negative"):
-            load_trace(bad)
+        self._overwrite(path, lanes=lanes)
+        self._assert_rejected(path, "negative lane address")
 
     def test_empty_file_rejected(self, tmp_path):
-        path = save_trace(tiny_trace(), tmp_path / "t.npz")
-        empty = np.asarray([], dtype=np.int32)
-        bad = self._rewrite(path, tmp_path / "bad.npz",
-                            cu_ids=empty, lane_counts=empty,
-                            flags=np.asarray([], dtype=np.int8),
-                            lanes=np.asarray([], dtype=np.int64))
-        with pytest.raises(TraceValidationError, match="empty"):
-            load_trace(bad)
+        path = self._stored(tmp_path)
+        empty = np.asarray([], dtype=np.int64)
+        self._overwrite(
+            path, cu_bounds=np.asarray([0], dtype=np.int64),
+            inst_flags=np.asarray([], dtype=np.int8),
+            inst_req_counts=empty, req_line=empty, req_lanes=empty,
+            lane_counts=empty, lanes=empty)
+        self._assert_rejected(path, "empty")
 
 
 class TestAddressSpaceEvents:

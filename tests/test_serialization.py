@@ -1,20 +1,25 @@
-"""Tests for trace save/load round-tripping."""
+"""Tests for trace save/load round-tripping through the compiled store."""
 
 import pytest
 
 from repro.system.designs import BASELINE_512
 from repro.system.run import simulate
+from repro.workloads.compiled import TraceStore, compile_trace
 from repro.workloads.registry import load
-from repro.workloads.serialization import load_trace, save_trace
 from repro.workloads.synthetic import synonym_stress
 from repro.workloads.trace import MemoryInstruction, Trace
+
+
+def _round_trip(trace, tmp_path):
+    store = TraceStore(tmp_path)
+    assert store.store(trace, 0.05, None) is not None
+    return store.load(trace.name, 0.05, None)
 
 
 class TestRoundTrip:
     def test_workload_trace_roundtrip(self, tmp_path):
         original = load("pagerank", scale=0.05)
-        path = save_trace(original, tmp_path / "pagerank.npz")
-        reloaded = load_trace(path)
+        reloaded = _round_trip(original, tmp_path)
 
         assert reloaded.name == original.name
         assert reloaded.n_instructions == original.n_instructions
@@ -27,8 +32,7 @@ class TestRoundTrip:
 
     def test_address_space_replay_reproduces_translations(self, tmp_path):
         original = load("mis", scale=0.05)
-        path = save_trace(original, tmp_path / "mis.npz")
-        reloaded = load_trace(path)
+        reloaded = _round_trip(original, tmp_path)
         checked = 0
         for inst in original.all_instructions():
             if inst.scratchpad:
@@ -43,19 +47,18 @@ class TestRoundTrip:
 
     def test_synonym_mappings_survive(self, tmp_path):
         original = synonym_stress(n_pages=8, n_accesses=50, seed=9)
-        path = save_trace(original, tmp_path / "syn.npz")
-        reloaded = load_trace(path)
+        reloaded = _round_trip(original, tmp_path)
         orig_space, new_space = original.address_space, reloaded.address_space
         a = orig_space.mappings[0].base_va
         b = orig_space.mappings[1].base_va
         assert new_space.translate(a) == new_space.translate(b)
+        assert new_space.translate(a) == orig_space.translate(a)
 
     def test_simulation_results_identical(self, small_config, tmp_path):
         import dataclasses
         config = dataclasses.replace(small_config, n_cus=16)
         original = load("kmeans", scale=0.05)
-        path = save_trace(original, tmp_path / "km.npz")
-        reloaded = load_trace(path)
+        reloaded = _round_trip(original, tmp_path)
         r1 = simulate(original, BASELINE_512.build(
             config, {0: original.address_space.page_table}), config)
         r2 = simulate(reloaded, BASELINE_512.build(
@@ -72,8 +75,8 @@ class TestRoundTrip:
 
     def test_scratchpad_flags_preserved(self, tmp_path):
         original = load("nw", scale=0.05)
-        path = save_trace(original, tmp_path / "nw.npz")
-        reloaded = load_trace(path)
+        reloaded = _round_trip(original, tmp_path)
+        assert original.scratchpad_fraction() > 0
         assert (reloaded.scratchpad_fraction()
                 == pytest.approx(original.scratchpad_fraction()))
 
@@ -82,4 +85,5 @@ class TestRoundTrip:
                       per_cu=[[MemoryInstruction(addresses=(0,))]],
                       issue_interval=4.0)
         with pytest.raises(ValueError):
-            save_trace(trace, tmp_path / "x.npz")
+            compile_trace(trace)
+        assert TraceStore(tmp_path).store(trace, 0.05, None) is None

@@ -1,5 +1,6 @@
 """Tests for memory-trace containers and the trace builder toolkit."""
 
+import numpy as np
 import pytest
 
 from repro.memsys.address_space import AddressSpace
@@ -9,7 +10,7 @@ from repro.workloads.device import (
     strided_lane_addresses,
     warp_chunks,
 )
-from repro.workloads.trace import MemoryInstruction, Trace, round_robin_requests
+from repro.workloads.trace import MemoryInstruction, Trace
 
 
 class TestMemoryInstruction:
@@ -58,15 +59,6 @@ class TestTrace:
         t = self.trace().truncated(1)
         assert t.n_instructions == 2
 
-    def test_round_robin_interleaves(self):
-        order = [cu for cu, _inst, _lines in round_robin_requests(self.trace())]
-        assert order == [0, 1, 0]
-
-    def test_round_robin_scratchpad_has_no_lines(self):
-        rows = list(round_robin_requests(self.trace()))
-        scratch = [r for r in rows if r[1].scratchpad]
-        assert scratch and scratch[0][2] == ()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Trace(name="x", per_cu=[], issue_interval=1.0)
@@ -94,6 +86,19 @@ class TestDeviceArray:
         arr = DeviceArray(space, 64, 4)
         assert arr.row_addr(2, 3, n_cols=8) == arr.addr(19)
 
+    def test_gather_gives_python_ints(self):
+        space = AddressSpace(asid=0)
+        arr = DeviceArray(space, 100, 8)
+        for indices, picked in (
+            ([7, 2, 9], [7, 2, 9]),
+            (np.array([7, 2, 9], dtype=np.int32), [7, 2, 9]),
+            (range(10, 4, -3), [10, 7]),
+            ([], []),
+        ):
+            addrs = arr.addrs(indices)
+            assert addrs == [arr.base_va + 8 * i for i in picked]
+            assert all(type(a) is int for a in addrs)
+
     def test_arrays_are_backed(self):
         space = AddressSpace(asid=0)
         arr = DeviceArray(space, 5000, 4)
@@ -117,10 +122,23 @@ class TestTraceBuilder:
         with pytest.raises(ValueError):
             tb.build("empty", AddressSpace(asid=0), issue_interval=4.0)
 
+    def test_instruction_without_lanes_rejected(self):
+        with pytest.raises(ValueError, match="lane address"):
+            TraceBuilder(n_cus=2).emit(0, [])
+
+    def test_nonpositive_issue_interval_rejected(self):
+        tb = TraceBuilder(n_cus=2)
+        tb.emit(0, [0])
+        with pytest.raises(ValueError, match="issue interval"):
+            tb.build("x", AddressSpace(asid=0), issue_interval=0.0)
+
     def test_cu_wraps(self):
         tb = TraceBuilder(n_cus=2)
+        tb.emit(0, [4096])
         tb.emit(5, [0])  # CU 5 → CU 1
-        assert len(tb.streams[1]) == 1
+        trace = tb.build("wrap", AddressSpace(asid=0), issue_interval=4.0)
+        assert trace.n_cus == 2
+        assert [inst.addresses for inst in trace.per_cu[1]] == [(0,)]
 
 
 class TestWarpChunks:
