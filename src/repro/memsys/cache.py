@@ -113,9 +113,6 @@ class Cache:
         # Power-of-two set count (validated by CacheConfig): indexing is
         # a bitmask, exactly the bit slice hardware uses.
         self._set_mask = config.n_sets - 1
-        self._bank_mask = (
-            config.n_banks - 1 if is_power_of_two(config.n_banks) else None
-        )
         self._associativity = config.associativity
         self._n_resident = 0
         # page number -> count of resident lines, for fast page invalidation
@@ -128,18 +125,14 @@ class Cache:
         return line_addr & self._set_mask
 
     def bank_of(self, line_addr: int) -> int:
-        """Bank selected by the low-order line-address bits.
+        """Bank selected by the line address modulo the bank count.
 
         Low-order interleaving sends consecutive lines to different
         banks, so streaming accesses spread across the banked L2 instead
-        of serializing on one bank.  (Because the set count is a larger
-        power of two, these are the same bits that *start* the set
-        index — the bank is a slice of the set bits, not bits above
-        them.)
+        of serializing on one bank.  (For a power-of-two bank count
+        below the set count, these are the low bits that *start* the
+        set index — the bank is a slice of the set bits.)
         """
-        mask = self._bank_mask
-        if mask is not None:
-            return line_addr & mask
         return line_addr % self.config.n_banks
 
     # -- queries --------------------------------------------------------

@@ -286,8 +286,6 @@ class IOMMU:
         if key == tlb._memo_key:
             tlb.hits += 1
             entry = tlb._memo_entry
-            if tlb.lifetimes is not None:
-                tlb.lifetimes.on_access(key, t)
         else:
             entry = tlb._entries.get(key)
             if entry is None:
@@ -297,8 +295,6 @@ class IOMMU:
                 tlb.hits += 1
                 tlb._memo_key = key
                 tlb._memo_entry = entry
-                if tlb.lifetimes is not None:
-                    tlb.lifetimes.on_access(key, t)
         if entry is not None:
             self._n_tlb_hits += 1
             if timeline is not None:

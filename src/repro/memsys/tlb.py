@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.engine.stats import LifetimeTracker
 from repro.memsys.permissions import Permissions
 
 
@@ -57,11 +56,6 @@ class TLBEntry:
 class TLB:
     """A fully-associative, LRU translation buffer.
 
-    An optional :class:`LifetimeTracker` records entry residence times
-    (insertion → eviction), which the Appendix (Figure 12) compares
-    against cache-data lifetimes to explain why virtual caches filter
-    TLB misses.
-
     A direct-mapped *last-translation micro-memo* (``_memo_key`` /
     ``_memo_entry``) sits in front of the full probe: a single tag
     compare against the most recently used key.  The memo is exactly one
@@ -74,19 +68,22 @@ class TLB:
     (the chaos fault injector invalidates TLBs directly).  Counters are
     attributed identically on memo and full-probe hits, so simulation
     outputs stay bit-identical.
+
+    The ``now`` parameters of the access and shootdown methods are
+    accepted and ignored: callers pass the simulated time positionally
+    (``insert`` takes ``is_large`` after it).  Figure 12 tracks TLB
+    entry lifetimes in the hierarchy, not here.
     """
 
     def __init__(
         self,
         capacity: Optional[int] = None,
         name: str = "tlb",
-        lifetimes: Optional[LifetimeTracker] = None,
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("TLB capacity must be positive (or None for infinite)")
         self.capacity = capacity
         self.name = name
-        self.lifetimes = lifetimes
         self._entries: OrderedDict[int, TLBEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -107,8 +104,6 @@ class TLB:
             # Memo hit: the key is already MRU, so the LRU refresh is
             # skipped as a provable no-op; counters unchanged vs a probe.
             self.hits += 1
-            if self.lifetimes is not None:
-                self.lifetimes.on_access(vpn, now)
             return self._memo_entry
         entry = self._entries.get(vpn)
         if entry is None:
@@ -118,8 +113,6 @@ class TLB:
         self.hits += 1
         self._memo_key = vpn
         self._memo_entry = entry
-        if self.lifetimes is not None:
-            self.lifetimes.on_access(vpn, now)
         return entry
 
     def insert(
@@ -147,8 +140,6 @@ class TLB:
         victim = None
         if self.capacity is not None and len(self._entries) >= self.capacity:
             _, victim = self._entries.popitem(last=False)
-            if self.lifetimes is not None:
-                self.lifetimes.on_evict(victim.vpn, now)
         entry = TLBEntry(vpn=vpn, ppn=ppn, permissions=permissions,
                          is_large=is_large,
                          large_base_vpn=large_base_vpn,
@@ -158,8 +149,6 @@ class TLB:
         # where the evicted victim was the memoized key.
         self._memo_key = vpn
         self._memo_entry = entry
-        if self.lifetimes is not None:
-            self.lifetimes.on_insert(vpn, now)
         return victim
 
     # -- shootdown ------------------------------------------------------
@@ -172,21 +161,13 @@ class TLB:
         if vpn == self._memo_key:
             self._memo_key = -1
             self._memo_entry = None
-        entry = self._entries.pop(vpn, None)
-        if entry is None:
-            return False
-        if self.lifetimes is not None:
-            self.lifetimes.on_evict(vpn, now)
-        return True
+        return self._entries.pop(vpn, None) is not None
 
     def invalidate_all(self, now: float = 0.0) -> int:
         """All-entry shootdown; returns the number of entries dropped."""
         self._memo_key = -1
         self._memo_entry = None
         dropped = len(self._entries)
-        if self.lifetimes is not None:
-            for vpn in self._entries:
-                self.lifetimes.on_evict(vpn, now)
         self._entries.clear()
         return dropped
 

@@ -210,8 +210,6 @@ def simulate(
         obs = getattr(hierarchy, "obs", None)
     tracer = obs.tracer if obs is not None else None
     tracing = tracer is not None and tracer.enabled
-    req_hist = obs.metrics.histogram("request.latency") if obs is not None else None
-    timeline = obs.metrics.timeline if obs is not None else None
     if tracing:
         tracer.emit("run.start", start_time, workload=trace.name, design=design)
     # The issue loop is driven entirely by the coalesced request lists
@@ -262,69 +260,17 @@ def simulate(
     # earliest — long same-CU request runs — it is a single compare.
     heappushpop = heapq.heappushpop
     access = hierarchy.access
+    if obs is not None:
+        # Per-request instrumentation wraps the access call once, here,
+        # so the loop below is the same for every run.
+        access = _observed_access(access, tracer if tracing else None,
+                                  obs.metrics)
     stream_lens = [len(c) for c in coalesced]
 
     # The loop keeps the earliest (candidate, cu_id) in locals; the heap
     # holds every *other* runnable CU.  It terminates when a CU drains
     # its stream with no other CU left (the only way work runs out).
-    # Two copies of the loop: the uninstrumented one below drops the
-    # per-iteration tracer/histogram/auditor checks; the general one
-    # further down is the reference and carries all instrumentation.
     candidate, cu_id = heappop(heap) if heap else (0.0, -1)
-    if not tracing and req_hist is None and auditor is None:
-        while cu_id >= 0:
-            t = next_issue[cu_id]
-            issue = candidate if candidate > t else t
-            out = outstanding[cu_id]
-            if len(out) >= cu_window and out[0] > issue:
-                issue = out[0]
-            if issue > candidate + _TIME_EPS:
-                candidate, cu_id = heappushpop(heap, (issue, cu_id))
-                continue
-
-            requests = pending[cu_id]
-            if requests is None:
-                reqs = coalesced[cu_id][cursors[cu_id]]
-                total_instructions += 1
-                if reqs is None:  # scratchpad instruction
-                    requests = pending[cu_id] = []
-                    pending_scratch[cu_id] = True
-                else:
-                    requests = pending[cu_id] = reqs
-                    pending_scratch[cu_id] = False
-                    pending_last[cu_id] = len(reqs) - 1
-                pending_pos[cu_id] = 0
-
-            if pending_scratch[cu_id]:
-                completion = scratch_access(issue)
-                gap = issue_interval
-                self_done = True
-            else:
-                pos = pending_pos[cu_id]
-                completion = access(cu_id, requests[pos], issue, asid)
-                total_requests += 1
-                self_done = last = pos == pending_last[cu_id]
-                gap = issue_interval if last else 1.0
-                pending_pos[cu_id] = pos + 1
-
-            while out and out[0] <= issue:
-                heappop(out)
-            heappush(out, completion)
-            if completion > last_completion[cu_id]:
-                last_completion[cu_id] = completion
-            nxt = issue + gap
-            next_issue[cu_id] = nxt
-
-            if self_done:
-                pending[cu_id] = None
-                cursors[cu_id] += 1
-                if cursors[cu_id] >= stream_lens[cu_id]:
-                    if not heap:
-                        break
-                    candidate, cu_id = heappop(heap)
-                    continue
-            candidate, cu_id = heappushpop(heap, (nxt, cu_id))
-        cu_id = -1  # the general loop below must not run
     while cu_id >= 0:
         # Earliest cycle a new request can issue, given the window.
         t = next_issue[cu_id]
@@ -359,21 +305,8 @@ def simulate(
             self_done = True
         else:
             pos = pending_pos[cu_id]
-            request = requests[pos]
-            if tracing:
-                tracer.emit("request.issue", issue, cu=cu_id,
-                            line=request.line_addr, write=request.is_write)
-            completion = access(cu_id, request, issue, asid)
+            completion = access(cu_id, requests[pos], issue, asid)
             total_requests += 1
-            if req_hist is not None:
-                req_hist.record(completion - issue)
-                if timeline is not None:
-                    timeline.record("requests.issued", issue)
-                    timeline.record("requests.latency", issue,
-                                    completion - issue)
-            if tracing:
-                tracer.emit("request.complete", completion, cu=cu_id,
-                            line=request.line_addr, latency=completion - issue)
             self_done = last = pos == pending_last[cu_id]
             gap = issue_interval if last else 1.0
             pending_pos[cu_id] = pos + 1
@@ -446,6 +379,34 @@ def simulate(
         write_manifest(manifest_out, build_manifest(
             result=result, config=config, metrics=result.metrics))
     return result
+
+
+def _observed_access(access, tracer, metrics):
+    """``access`` with the per-request events, histogram and timeline.
+
+    ``tracer`` (None when it does not record) receives
+    ``request.issue`` / ``request.complete`` around each call; the
+    ``request.latency`` histogram and, when enabled, the
+    ``requests.*`` timeline series record each request's latency.
+    """
+    req_hist = metrics.histogram("request.latency")
+    timeline = metrics.timeline
+
+    def observed(cu_id, request, issue, asid):
+        if tracer is not None:
+            tracer.emit("request.issue", issue, cu=cu_id,
+                        line=request.line_addr, write=request.is_write)
+        completion = access(cu_id, request, issue, asid)
+        req_hist.record(completion - issue)
+        if timeline is not None:
+            timeline.record("requests.issued", issue)
+            timeline.record("requests.latency", issue, completion - issue)
+        if tracer is not None:
+            tracer.emit("request.complete", completion, cu=cu_id,
+                        line=request.line_addr, latency=completion - issue)
+        return completion
+
+    return observed
 
 
 def _merge_cache_counters(hierarchy, counters: Dict[str, int]) -> None:

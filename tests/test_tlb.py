@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.stats import LifetimeTracker
 from repro.memsys.permissions import Permissions
 from repro.memsys.tlb import TLB
 
@@ -78,27 +77,3 @@ class TestShootdown:
         assert t.invalidate_all() == 5
         assert len(t) == 0
 
-
-class TestLifetimes:
-    def test_residence_recorded_on_eviction(self):
-        tracker = LifetimeTracker()
-        t = TLB(capacity=1, lifetimes=tracker)
-        t.insert(1, 1, now=10.0)
-        t.insert(2, 2, now=150.0)  # evicts vpn 1
-        assert tracker.residence_times == [140.0]
-
-    def test_access_extends_active_span(self):
-        tracker = LifetimeTracker()
-        t = TLB(capacity=2, lifetimes=tracker)
-        t.insert(1, 1, now=0.0)
-        t.lookup(1, now=30.0)
-        t.invalidate(1, now=100.0)
-        assert tracker.active_lifetimes == [30.0]
-
-    def test_invalidate_all_records_all(self):
-        tracker = LifetimeTracker()
-        t = TLB(capacity=4, lifetimes=tracker)
-        t.insert(1, 1, now=0.0)
-        t.insert(2, 2, now=5.0)
-        t.invalidate_all(now=20.0)
-        assert sorted(tracker.residence_times) == [15.0, 20.0]
