@@ -105,14 +105,18 @@ def _preflight_cache_dir(cache_dir: str) -> str:
 
 
 def _build_observability(args):
-    """One Observability bundle for --trace-out/--metrics-out/--profile."""
-    if not (args.trace_out or args.metrics_out or args.profile):
+    """One Observability bundle for --trace-out/--metrics-out.
+
+    ``--profile`` alone builds none: a bundle would swap every
+    hierarchy onto its instrumented method path, so the profile would
+    time a different program than the unprofiled run.
+    """
+    if not (args.trace_out or args.metrics_out):
         return None
-    from repro.obs import JsonLinesTracer, Observability, Profiler
+    from repro.obs import JsonLinesTracer, Observability
 
     tracer = JsonLinesTracer(args.trace_out) if args.trace_out else None
-    profiler = Profiler() if args.profile else None
-    return Observability(tracer=tracer, profiler=profiler)
+    return Observability(tracer=tracer)
 
 
 def _print_designs(slugs_only: bool) -> int:
@@ -879,10 +883,14 @@ def main(argv=None) -> int:
         return 2
     if obs is not None:
         GLOBAL_CACHE.obs = obs
+    profiler = None
+    if args.profile:
+        from repro.obs import Profiler
+
+        profiler = GLOBAL_CACHE.profiler = Profiler()
 
     wall_start = time.time()
     chosen = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    profiler = obs.profiler if obs is not None else None
     exit_code = 0
     if args.experiment == "sweep":
         start = time.time()
@@ -930,8 +938,8 @@ def main(argv=None) -> int:
         if args.trace_out:
             print(f"wrote {args.trace_out} "
                   f"({obs.tracer.events_emitted} events)")
-        if profiler is not None:
-            print(profiler.report())
+    if profiler is not None:
+        print(profiler.report())
     return exit_code
 
 

@@ -149,8 +149,10 @@ class ResultCache:
 
     An :class:`~repro.obs.Observability` bundle attached as ``obs`` is
     threaded through every hierarchy built and every ``simulate()``
-    call; when its profiler is set, trace synthesis and each simulation
-    get their own wall-clock spans.
+    call (and so selects the instrumented method paths).  A
+    :class:`~repro.obs.Profiler` attached as ``profiler`` gives trace
+    synthesis and each simulation their own wall-clock spans without
+    changing which path runs.
 
     ``jobs`` sets the default process fan-out for :meth:`run_many` /
     :meth:`run_designs`; ``cache_dir`` (a directory path) persists slim
@@ -160,6 +162,7 @@ class ResultCache:
     config: SoCConfig = field(default_factory=SoCConfig)
     scale: Optional[float] = None
     obs: object = None
+    profiler: object = None
     jobs: int = 1
     cache_dir: Optional[str] = None
     #: Audit simulator invariants during every run (see
@@ -196,7 +199,7 @@ class ResultCache:
             return registry.load(workload, scale=self.effective_scale())
 
     def _span(self, name: str):
-        profiler = getattr(self.obs, "profiler", None)
+        profiler = self.profiler
         return profiler.span(name) if profiler is not None else nullcontext()
 
     # -- cache keys -------------------------------------------------------

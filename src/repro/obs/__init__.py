@@ -73,23 +73,25 @@ __all__ = [
 
 
 class Observability:
-    """A tracer + metrics registry (+ optional profiler) travelling together.
+    """A tracer + metrics registry travelling together.
 
     Components accept ``obs=None``; when None they skip all
-    instrumentation (the zero-overhead default).  When attached, the
-    tracer may still be :data:`NULL_TRACER` — metrics and manifests
-    work without tracing.
+    instrumentation (the zero-overhead default) and the physical and
+    full-VC hierarchies run their compiled access paths.  Attaching a
+    bundle selects the instrumented method paths; the tracer may still
+    be :data:`NULL_TRACER` — metrics and manifests work without
+    tracing.  (The host-time :class:`Profiler` is not part of the
+    bundle: it times the pipeline around the simulator, so it rides on
+    :class:`~repro.experiments.common.ResultCache` instead.)
     """
 
     def __init__(
         self,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = profiler
 
     @property
     def tracing(self) -> bool:
@@ -99,7 +101,7 @@ class Observability:
     def with_fields(self, **fields) -> "Observability":
         """A view whose tracer stamps ``fields`` onto every event.
 
-        Metrics and profiler are *shared* with this bundle — only the
+        Metrics are *shared* with this bundle — only the
         tracer is wrapped (see :class:`~repro.obs.trace_context.ContextTracer`),
         which is how a trace context binds to the events a simulation
         emits.  When tracing is off this returns ``self`` unchanged,
@@ -110,7 +112,6 @@ class Observability:
         return Observability(
             tracer=ContextTracer(self.tracer, **fields),
             metrics=self.metrics,
-            profiler=self.profiler,
         )
 
     def close(self) -> None:
