@@ -342,12 +342,14 @@ class L1OnlyVirtualHierarchy:
     ) -> None:
         victim = self.l1s[cu_id].insert(key, permissions=permissions,
                                         page=page_key(asid, vpn))
+        # Count the fill before the eviction: a victim from the same page
+        # must not retire the page's entry while the new line is resident.
+        self.asdt.on_fill(ppn)
         if victim is not None and victim.page is not None:
             v_asid, v_vpn = split_page_key(victim.page)
             victim_ppn = self.asdt.ppn_of_leading(v_asid, v_vpn)
             if victim_ppn is not None:
                 self.asdt.on_evict(victim_ppn)
-        self.asdt.on_fill(ppn)
 
     # -- software-visible operations ----------------------------------------
     def shootdown(self, asid: int, vpn: int, now: float = 0.0) -> bool:
