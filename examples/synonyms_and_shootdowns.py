@@ -21,7 +21,6 @@ Run with::
 """
 
 from repro.core.virtual_hierarchy import VirtualCacheHierarchy, line_key
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import line_address, page_number
 from repro.memsys.directory import CoherenceProbe, Directory
@@ -30,11 +29,11 @@ from repro.system.config import SoCConfig
 
 
 def read(h, cu, va, now):
-    return h.access(cu, CoalescedRequest(line_address(va), False, 1), now)
+    return h.access(cu, line_address(va), False, now)
 
 
 def write(h, cu, va, now):
-    return h.access(cu, CoalescedRequest(line_address(va), True, 1), now)
+    return h.access(cu, line_address(va), True, now)
 
 
 def main() -> None:

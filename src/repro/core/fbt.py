@@ -263,12 +263,25 @@ class ForwardBackwardTable:
         )
 
     # -- second-level TLB ("With OPT") --------------------------------------
-    def forward_translate(self, asid: int, vpn: int) -> Optional[Tuple[int, Permissions]]:
-        """Leading-page forward translation, for the IOMMU's L2-TLB use."""
+    def forward_translate(
+        self, asid: int, vpn: int
+    ) -> Optional[Tuple[int, Permissions, bool, int, int]]:
+        """Leading-page forward translation, for the IOMMU's L2-TLB use.
+
+        Returns ``(ppn, permissions, is_large, large_base_vpn,
+        large_base_ppn)``, the fields a page walk reports.  A
+        counter-tracked entry covers a whole 2 MB page and leads from
+        its base subpage, so a hit on it reports that large page: filed
+        as a base page, the subpage would later be checked — and given
+        a bit-vector entry — apart from its large page.
+        """
         entry = self.ft.lookup(asid, vpn)
         if entry is None:
             return None
-        return entry.ppn, entry.permissions
+        if entry.tracking == "counter":
+            return (entry.ppn, entry.permissions, True, entry.leading_vpn,
+                    entry.ppn)
+        return entry.ppn, entry.permissions, False, 0, 0
 
     # -- inclusion bookkeeping ----------------------------------------------
     def note_l2_fill(self, ppn: int, line_index: int) -> None:

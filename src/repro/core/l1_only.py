@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.virtual_hierarchy import _ASID_SHIFT, page_key, split_page_key
 from repro.engine.resources import BankedServer
 from repro.engine.stats import Counters
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.addressing import lines_per_page
 from repro.memsys.cache import Cache
 from repro.memsys.dram import DRAM
@@ -250,14 +249,16 @@ class L1OnlyVirtualHierarchy:
 
     # -- the access path ------------------------------------------------------
     def access(
-        self, cu_id: int, request: CoalescedRequest, now: float, asid: int = 0
+        self, cu_id: int, vline: int, is_write: bool, now: float, asid: int = 0
     ) -> float:
-        """Service one coalesced request; return its completion time."""
+        """Service one coalesced request; return its completion time.
+
+        ``vline`` is the request's virtual line address.
+        """
         cfg = self.config
-        vline = request.line_addr
-        vpn = request.vpn
-        is_write = request.is_write
-        line_index = vline % self._lpp
+        lpp = self._lpp
+        vpn = vline // lpp
+        line_index = vline % lpp
         l1 = self.l1s[cu_id]
         self._n_accesses += 1
         timeline = self._timeline
@@ -282,7 +283,7 @@ class L1OnlyVirtualHierarchy:
         ready, ppn, permissions, *_ = self._translate(cu_id, vpn, now, asid)
         if not permissions._value_ & (2 if is_write else 1):
             raise PermissionFault(vpn, is_write, permissions)
-        physical_line = ppn * self._lpp + line_index
+        physical_line = ppn * lpp + line_index
 
         if is_write:
             if line is not None:
@@ -292,7 +293,7 @@ class L1OnlyVirtualHierarchy:
 
         entry = self.asdt.check(asid, vpn, ppn, False)
         lead_key = ((entry.leading_asid << _ASID_SHIFT)
-                    | (entry.leading_vpn * self._lpp + line_index))
+                    | (entry.leading_vpn * lpp + line_index))
         if lead_key != key:
             # Synonym: the data, if present, is cached under the leading
             # virtual address; replay there.

@@ -29,7 +29,6 @@ from repro.core.invalidation_filter import InvalidationFilter
 from repro.core.synonym_remap import SynonymRemapTable
 from repro.engine.resources import BankedServer
 from repro.engine.stats import Counters
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.cache import Cache, CacheLine
 from repro.memsys.directory import CoherenceProbe
 from repro.memsys.dram import DRAM
@@ -199,19 +198,18 @@ class VirtualCacheHierarchy:
 
     # -- the access path --------------------------------------------------
     def access(
-        self, cu_id: int, request: CoalescedRequest, now: float, asid: int = 0
+        self, cu_id: int, vline: int, is_write: bool, now: float, asid: int = 0
     ) -> float:
         """Service one coalesced request; return its completion time.
 
-        Reads complete when data arrives; writes are posted (complete at
-        L1-write time) but still exercise the L2/translation machinery
-        at the correct simulated times.
+        ``vline`` is the request's virtual line address.  Reads complete
+        when data arrives; writes are posted (complete at L1-write time)
+        but still exercise the L2/translation machinery at the correct
+        simulated times.
         """
-        vline = request.line_addr
-        vpn = request.vpn
         lpp = self._lpp
+        vpn = vline // lpp
         line_index = vline % lpp
-        is_write = request.is_write
 
         timeline = self._timeline
         if timeline is not None:

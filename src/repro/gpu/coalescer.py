@@ -6,6 +6,13 @@ consulted after the per-lane accesses have been coalesced").  Regular
 workloads coalesce a whole warp into one or two requests; divergent
 scatter/gather instructions produce tens of requests to different lines
 — and often different *pages*, which is what stresses translation.
+
+Traces are coalesced once, for every instruction at a time, by
+:func:`coalesce_arrays`, and :func:`~repro.system.run.simulate` replays
+the resulting arrays.  :class:`Coalescer` and :class:`CoalescedRequest`
+are the per-instruction dict formulation, kept as the reference the
+tests check :func:`coalesce_arrays` against; no simulation path builds
+them.
 """
 
 from __future__ import annotations
@@ -16,29 +23,24 @@ from repro.memsys.addressing import DEFAULT_LINE_SIZE, PAGE_SIZE
 
 __all__ = ["CoalescedRequest", "Coalescer", "coalesce_arrays"]
 
-_LINES_PER_PAGE = PAGE_SIZE // DEFAULT_LINE_SIZE
-
 
 class CoalescedRequest:
-    """One line-sized request produced by coalescing a warp access.
+    """One line-sized request produced by coalescing a warp access."""
 
-    Immutable by convention and shared freely: the per-trace coalescing
-    cache replays the same request objects under every MMU design.
-    ``vpn`` is precomputed at construction — the hierarchies read it on
-    every access, and deriving it there cost a division per request.
-    """
-
-    __slots__ = ("line_addr", "is_write", "n_lanes", "vpn")
+    __slots__ = ("line_addr", "is_write", "n_lanes")
 
     def __init__(self, line_addr: int, is_write: bool, n_lanes: int) -> None:
         self.line_addr = line_addr  # virtual line address
         self.is_write = is_write
         self.n_lanes = n_lanes  # how many lanes this request serves
-        self.vpn = line_addr // _LINES_PER_PAGE
 
     @property
     def byte_addr(self) -> int:
         return self.line_addr * DEFAULT_LINE_SIZE
+
+    @property
+    def vpn(self) -> int:
+        return self.byte_addr // PAGE_SIZE
 
     def __repr__(self) -> str:
         return (

@@ -30,7 +30,12 @@ class SecondLevelTLB(Protocol):
     """What the IOMMU needs from an FBT acting as a second-level TLB."""
 
     def forward_translate(self, asid: int, vpn: int) -> Optional[tuple]:
-        """Return ``(ppn, permissions)`` if (asid, vpn) is a leading page."""
+        """Translate (asid, vpn) if it is a leading page, else ``None``.
+
+        Returns ``(ppn, permissions, is_large, large_base_vpn,
+        large_base_ppn)``; a second level that only holds base pages may
+        return just ``(ppn, permissions)``.
+        """
 
 
 @dataclass(frozen=True)
@@ -325,7 +330,9 @@ class IOMMU:
             t += self.config.tlb_latency
             hit = self.second_level.forward_translate(asid, vpn)
             if hit is not None:
-                ppn, permissions = hit
+                ppn, permissions, *large = hit
+                is_large, large_base_vpn, large_base_ppn = (
+                    large or (False, 0, 0))
                 self._n_fbt_hits += 1
                 if timeline is not None:
                     timeline.record("iommu.fbt_hits", t)
@@ -333,8 +340,12 @@ class IOMMU:
                     self._translate_hist.record(t - now)
                 if tracing:
                     tracer.emit("iommu.fbt_hit", t, vpn=vpn)
-                self.shared_tlb.insert(key, ppn, permissions, t)
-                return (ppn, permissions, t, "fbt", False, 0, 0)
+                self.shared_tlb.insert(
+                    key, ppn, permissions, t, is_large=is_large,
+                    large_base_vpn=large_base_vpn,
+                    large_base_ppn=large_base_ppn)
+                return (ppn, permissions, t, "fbt", is_large, large_base_vpn,
+                        large_base_ppn)
             self._n_fbt_misses += 1
 
         if tracing:

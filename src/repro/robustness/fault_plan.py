@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.engine.stats import Counters
-from repro.memsys.addressing import page_number
+from repro.memsys.addressing import lines_per_page, page_number
 from repro.memsys.permissions import PageFault, PermissionFault, Permissions
+from repro.workloads.compiled import compile_trace
 
 _ASID_SHIFT = 52
+_LINES_PER_PAGE = lines_per_page()
 
 #: Every fault kind the injector knows how to drive.
 KINDS: Tuple[str, ...] = (
@@ -92,20 +94,16 @@ class FaultPlan:
         ]
         candidates: List[int] = []
         seen = set()
-        n_requests = 0
-        for stream in trace.coalesced_per_cu():
-            for requests in stream:
-                if requests is None:
-                    continue
-                for request in requests:
-                    n_requests += 1
-                    vpn = request.vpn
-                    if vpn not in seen:
-                        seen.add(vpn)
-                        if (len(candidates) < cls.MAX_CANDIDATE_PAGES
-                                and any(lo <= vpn < hi
-                                        for lo, hi in small_ranges)):
-                            candidates.append(vpn)
+        # Every coalesced request, in CU-major order, as its line address.
+        lines = compile_trace(trace).coalesced_per_cu()[0]
+        n_requests = len(lines)
+        for line in lines:
+            vpn = line // _LINES_PER_PAGE
+            if vpn not in seen:
+                seen.add(vpn)
+                if (len(candidates) < cls.MAX_CANDIDATE_PAGES
+                        and any(lo <= vpn < hi for lo, hi in small_ranges)):
+                    candidates.append(vpn)
         n_events = min(int(round(rate * n_requests)), n_requests)
         if n_events == 0 or not candidates:
             return cls(events=(), seed=seed, rate=rate)
@@ -174,7 +172,8 @@ class FaultInjector:
         self._inner.finish(now)
 
     # -- the access path --------------------------------------------------
-    def access(self, cu_id: int, request, now: float, asid: int = 0) -> float:
+    def access(self, cu_id: int, line: int, is_write: bool, now: float,
+               asid: int = 0) -> float:
         events = self._events
         i = self._next_event
         if i < len(events) and events[i].index <= self._n_accesses:
@@ -187,13 +186,13 @@ class FaultInjector:
         inner_access = self._inner.access
         for _ in range(self.MAX_OS_RETRIES):
             try:
-                return inner_access(cu_id, request, now, asid=asid)
+                return inner_access(cu_id, line, is_write, now, asid=asid)
             except PageFault as fault:
                 self._handle_page_fault(fault, asid)
             except PermissionFault as fault:
                 self._handle_permission_fault(fault, asid, now)
         raise RuntimeError(
-            f"access to vpn {request.vpn:#x} still faulting after "
+            f"access to line {line:#x} still faulting after "
             f"{self.MAX_OS_RETRIES} OS fault-handling retries"
         )
 

@@ -133,10 +133,9 @@ def compile_physical_access(h):
     l2_cap = window_cycles * l2_rate
     dram_line = _compile_dram_line(h.dram)
 
-    def access(cu_id, request, now, asid=0):
-        vpn = request.vpn
-        is_write = request.is_write
-        line_index = request.line_addr % lpp
+    def access(cu_id, line, is_write, now, asid=0):
+        vpn = line // lpp
+        line_index = line % lpp
         tlb = per_cu_tlbs[cu_id]
         key = (asid << 52) | vpn
         if key == tlb._memo_key:
@@ -464,11 +463,9 @@ def compile_virtual_access(h):
         else:
             fbt_note_l2_fill(ppn, line_index)
 
-    def access(cu_id, request, now, asid=0):
-        vline = request.line_addr
-        vpn = request.vpn
+    def access(cu_id, vline, is_write, now, asid=0):
+        vpn = vline // lpp
         line_index = vline % lpp
-        is_write = request.is_write
         if srts is not None:
             # Dynamic synonym remapping: redirect known synonym pages to
             # their leading address before the L1 lookup.  Inlined

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.engine.stats import Counters, LifetimeTracker
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.addressing import lines_per_page
 from repro.memsys.cache import Cache
 from repro.memsys.dram import DRAM
@@ -178,13 +177,15 @@ class PhysicalHierarchy:
 
     # -- the access path ---------------------------------------------------
     def access(
-        self, cu_id: int, request: CoalescedRequest, now: float, asid: int = 0
+        self, cu_id: int, line: int, is_write: bool, now: float, asid: int = 0
     ) -> float:
-        """Service one coalesced request; return its completion time."""
-        vpn = request.vpn
-        is_write = request.is_write
+        """Service one coalesced request; return its completion time.
+
+        ``line`` is the request's virtual line address.
+        """
         lpp = self._lpp
-        line_index = request.line_addr % lpp
+        vpn = line // lpp
+        line_index = line % lpp
         if self._timeline is not None:
             self._timeline.record("tlb.probes", now)
 
@@ -224,8 +225,7 @@ class PhysicalHierarchy:
                 if not is_write:
                     l1 = self.l1s[cu_id]
                     cache_set = l1._sets[physical_line & l1._set_mask]
-                    line = cache_set.get(physical_line)
-                    if line is not None:
+                    if physical_line in cache_set:
                         cache_set.move_to_end(physical_line)
                         l1.hits += 1
                         return ready + cfg.l1_latency

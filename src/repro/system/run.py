@@ -1,7 +1,14 @@
 """Top-level trace-driven simulation driver.
 
-Drives a :class:`~repro.workloads.trace.Trace` through a memory
-hierarchy (physical baseline, L1-only VC, or full virtual hierarchy).
+Drives a trace through a memory hierarchy (physical baseline, L1-only
+VC, or full virtual hierarchy).  The trace is replayed from its
+compiled request arrays (:mod:`repro.workloads.compiled`; a hand-built
+:class:`~repro.workloads.trace.Trace` is compiled once on entry), so a
+request reaches the hierarchy as two plain values, its virtual line
+address and its write flag.  The dict
+:class:`~repro.gpu.coalescer.Coalescer` is only the reference the tests
+check the compiled coalescing against.
+
 CUs issue coalesced requests in globally nondecreasing time order (a
 lazy-reinsertion heap over CUs), so the shared-resource queues — the
 IOMMU TLB port above all — see arrivals in order and their queueing
@@ -22,6 +29,7 @@ from typing import Dict, Optional, List
 from repro.engine.stats import RateStats
 from repro.gpu.scratchpad import Scratchpad
 from repro.system.config import SoCConfig
+from repro.workloads.compiled import compile_trace
 from repro.workloads.trace import Trace
 
 __all__ = ["SimulationResult", "simulate"]
@@ -168,9 +176,15 @@ def simulate(
 ) -> SimulationResult:
     """Run ``trace`` through ``hierarchy`` and collect statistics.
 
-    ``hierarchy`` is any object with ``access(cu_id, request, now, asid)
-    → completion_time``, a ``counters`` bag, and a ``finish(now)`` hook
-    (the three hierarchy classes in this package all qualify).
+    ``trace`` is a :class:`~repro.workloads.compiled.CompiledTrace` (what
+    every generator returns) or a hand-built
+    :class:`~repro.workloads.trace.Trace`, which is compiled first.
+    ``hierarchy`` is any object with ``access(cu_id, line, is_write,
+    now, asid) → completion_time`` (``line`` is the request's virtual
+    line address, ``is_write`` a bool), a ``counters`` bag, and a
+    ``finish(now)`` hook (the three hierarchy classes in this package
+    all qualify).  ``max_instructions_per_cu`` replays only the first N
+    instructions of each CU's stream.
 
     ``start_time`` continues the clock of a previous run on the *same*
     hierarchy — the time-sharing case (context switches) — so shared
@@ -212,14 +226,14 @@ def simulate(
     tracing = tracer is not None and tracer.enabled
     if tracing:
         tracer.emit("run.start", start_time, workload=trace.name, design=design)
-    # The issue loop is driven entirely by the coalesced request lists
-    # (one list per instruction; None marks a scratchpad instruction) —
-    # they mirror ``trace.per_cu`` stream for stream, so compiled traces
-    # can replay without materializing per-lane instruction objects.
-    coalesced = trace.coalesced_per_cu()
-    if max_instructions_per_cu is not None:
-        coalesced = [c[:max_instructions_per_cu] for c in coalesced]
-    n_cus = len(coalesced)
+    # The issue loop replays the compiled request arrays as plain lists:
+    # each CU walks its own contiguous run of ``lines`` instruction by
+    # instruction, and ``inst_end`` marks where each instruction's
+    # requests stop (a scratchpad instruction has none).  No request or
+    # per-lane instruction object is built.
+    lines, inst_end, inst_flags, cu_bounds = (
+        compile_trace(trace).coalesced_per_cu())
+    n_cus = len(cu_bounds) - 1
     hierarchy_cus = len(getattr(hierarchy, "l1s", ()) or ())
     if hierarchy_cus and n_cus > hierarchy_cus:
         raise ValueError(
@@ -228,19 +242,24 @@ def simulate(
             f"with n_cus >= {n_cus}"
         )
 
-    cursors = [0] * n_cus
-    # Per-CU list of this instruction's coalesced requests + position.
-    pending: List[Optional[list]] = [None] * n_cus
-    pending_pos = [0] * n_cus
-    pending_last = [0] * n_cus  # index of the instruction's final request
-    pending_scratch = [False] * n_cus
+    # Per-CU replay state: the next instruction to start and where the
+    # CU's instructions stop; the next request in ``lines``, the end of
+    # the current instruction's requests, and its write flag.
+    next_inst = cu_bounds[:-1]
+    inst_stop = cu_bounds[1:]
+    if max_instructions_per_cu is not None:
+        inst_stop = [min(stop, start + max_instructions_per_cu)
+                     for start, stop in zip(next_inst, inst_stop)]
+    req_pos = [inst_end[i - 1] if i else 0 for i in next_inst]
+    req_end = list(req_pos)
+    writing = [False] * n_cus
     # Per-CU issue-window state, as parallel arrays: a CU issues while
     # fewer than ``cu_window`` requests are in flight, and otherwise
     # stalls until its oldest one completes.  The issue loop runs once per
     # coalesced request (plus window retries) and dominates end-to-end
     # simulation time, so the per-CU bookkeeping lives in plain lists
     # and the loop's bindings — heap ops, the hierarchy's access method,
-    # stream lengths — in locals rather than attribute lookups.
+    # stream bounds — in locals rather than attribute lookups.
     outstanding: List[List[float]] = [[] for _ in range(n_cus)]
     next_issue = [start_time] * n_cus
     last_completion = [0.0] * n_cus
@@ -248,7 +267,8 @@ def simulate(
     issue_interval = trace.issue_interval
     scratch_access = Scratchpad().access  # fixed latency, shared by all CUs
 
-    heap = [(start_time, cu_id) for cu_id in range(n_cus) if coalesced[cu_id]]
+    heap = [(start_time, cu_id) for cu_id in range(n_cus)
+            if next_inst[cu_id] < inst_stop[cu_id]]
     heapq.heapify(heap)
     total_requests = 0
     total_instructions = 0
@@ -265,7 +285,6 @@ def simulate(
         # so the loop below is the same for every run.
         access = _observed_access(access, tracer if tracing else None,
                                   obs.metrics)
-    stream_lens = [len(c) for c in coalesced]
 
     # The loop keeps the earliest (candidate, cu_id) in locals; the heap
     # holds every *other* runnable CU.  It terminates when a CU drains
@@ -284,32 +303,29 @@ def simulate(
             candidate, cu_id = heappushpop(heap, (issue, cu_id))
             continue
 
-        requests = pending[cu_id]
-        if requests is None:
-            reqs = coalesced[cu_id][cursors[cu_id]]
+        pos = req_pos[cu_id]
+        end = req_end[cu_id]
+        if pos == end:
+            # The CU's previous instruction is done: start its next one.
+            inst = next_inst[cu_id]
+            next_inst[cu_id] = inst + 1
             total_instructions += 1
             if auditor is not None and total_instructions % auditor.interval == 0:
                 auditor.audit(hierarchy, f"instruction {total_instructions}")
-            if reqs is None:  # scratchpad instruction
-                requests = pending[cu_id] = []
-                pending_scratch[cu_id] = True
-            else:
-                requests = pending[cu_id] = reqs
-                pending_scratch[cu_id] = False
-                pending_last[cu_id] = len(reqs) - 1
-            pending_pos[cu_id] = 0
+            end = req_end[cu_id] = inst_end[inst]
+            writing[cu_id] = (inst_flags[inst] & 1) == 1
 
-        if pending_scratch[cu_id]:
+        if pos == end:  # scratchpad instruction: no requests
             completion = scratch_access(issue)
             gap = issue_interval
             self_done = True
         else:
-            pos = pending_pos[cu_id]
-            completion = access(cu_id, requests[pos], issue, asid)
+            completion = access(cu_id, lines[pos], writing[cu_id], issue, asid)
             total_requests += 1
-            self_done = last = pos == pending_last[cu_id]
-            gap = issue_interval if last else 1.0
-            pending_pos[cu_id] = pos + 1
+            pos += 1
+            req_pos[cu_id] = pos
+            self_done = pos == end
+            gap = issue_interval if self_done else 1.0
 
         # Record the issued request: retire completed ones, track the
         # new completion, and set the next issue slot (pipeline gap).
@@ -321,15 +337,12 @@ def simulate(
         nxt = issue + gap
         next_issue[cu_id] = nxt
 
-        if self_done:
-            pending[cu_id] = None
-            cursors[cu_id] += 1
-            if cursors[cu_id] >= stream_lens[cu_id]:
-                # This CU is finished; move to the next-earliest one.
-                if not heap:
-                    break
-                candidate, cu_id = heappop(heap)
-                continue
+        if self_done and next_inst[cu_id] >= inst_stop[cu_id]:
+            # This CU is finished; move to the next-earliest one.
+            if not heap:
+                break
+            candidate, cu_id = heappop(heap)
+            continue
         candidate, cu_id = heappushpop(heap, (nxt, cu_id))
 
     # A CU's drain time is its last outstanding completion.
@@ -392,18 +405,18 @@ def _observed_access(access, tracer, metrics):
     req_hist = metrics.histogram("request.latency")
     timeline = metrics.timeline
 
-    def observed(cu_id, request, issue, asid):
+    def observed(cu_id, line, is_write, issue, asid):
         if tracer is not None:
             tracer.emit("request.issue", issue, cu=cu_id,
-                        line=request.line_addr, write=request.is_write)
-        completion = access(cu_id, request, issue, asid)
+                        line=line, write=is_write)
+        completion = access(cu_id, line, is_write, issue, asid)
         req_hist.record(completion - issue)
         if timeline is not None:
             timeline.record("requests.issued", issue)
             timeline.record("requests.latency", issue, completion - issue)
         if tracer is not None:
             tracer.emit("request.complete", completion, cu=cu_id,
-                        line=request.line_addr, latency=completion - issue)
+                        line=line, latency=completion - issue)
         return completion
 
     return observed

@@ -5,7 +5,12 @@ structure-of-arrays NumPy containers holding each instruction's lane
 addresses and flags, plus its coalesced line requests, computed once
 for the whole trace in one vectorized pass
 (:func:`~repro.gpu.coalescer.coalesce_arrays`, via
-:func:`compile_arrays`).  Generation — *running the algorithm*, BFS
+:func:`compile_arrays`); the dict
+:class:`~repro.gpu.coalescer.Coalescer` survives only as the reference
+the tests check that pass against.  :func:`~repro.system.run.simulate`
+replays the request arrays themselves, as plain lists
+(:meth:`CompiledTrace.coalesced_per_cu`): no request object is built
+on any access path.  Generation — *running the algorithm*, BFS
 over a generated graph, Floyd-Warshall over a matrix, … — can cost as
 much as simulating the result, so :class:`TraceStore` persists
 compilations as plain ``.npy`` files that later processes **mmap
@@ -46,7 +51,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.gpu.coalescer import CoalescedRequest, coalesce_arrays
+from repro.gpu.coalescer import coalesce_arrays
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import DEFAULT_LINE_SIZE
 from repro.memsys.permissions import Permissions
@@ -125,7 +130,6 @@ class CompiledTrace:
         self._req_lanes = req_lanes
         self._lane_counts = lane_counts
         self._lanes = lanes
-        self._coalesced: Dict[int, list] = {}
         self._thawed: Optional[Trace] = None
 
     # -- the simulate-facing surface --------------------------------------
@@ -137,43 +141,23 @@ class CompiledTrace:
     def n_instructions(self) -> int:
         return len(self._inst_flags)
 
-    def coalesced_per_cu(self, line_size: int = DEFAULT_LINE_SIZE) -> list:
-        """Materialize the precompiled request lists (memoized).
+    def coalesced_per_cu(self) -> tuple:
+        """The request arrays as plain lists: what ``simulate()`` replays.
 
-        For the compiled line size this walks the arrays once —
-        no per-instruction dict, no division — and constructs the same
-        ``CoalescedRequest`` objects, in the same order, that
-        :meth:`Trace.coalesced_per_cu` would.  A foreign line size
-        falls back to thawing and coalescing from the lane addresses.
+        Returns ``(lines, inst_end, inst_flags, cu_bounds)``: every
+        coalesced line address in CU-major instruction order; for each
+        instruction, one past the index of its last request in
+        ``lines`` (a scratchpad instruction has zero requests); each
+        instruction's flags (bit0 = write, bit1 = scratchpad); and the
+        instruction offset where each CU's stream starts, plus the
+        total.  The lists are built afresh on every call: converting is
+        cheap next to simulating, and a memo would keep them alive as
+        long as the trace.
         """
-        cached = self._coalesced.get(line_size)
-        if cached is not None:
-            return cached
-        if line_size != self.line_size:
-            return self.thaw().coalesced_per_cu(line_size)
-        req_line = self._req_line.tolist()
-        req_lanes = self._req_lanes.tolist()
-        flags = self._inst_flags.tolist()
-        counts = self._inst_req_counts.tolist()
-        bounds = self._cu_bounds.tolist()
-        out = []
-        pos = 0
-        for cu in range(len(bounds) - 1):
-            stream = []
-            for i in range(bounds[cu], bounds[cu + 1]):
-                if flags[i] & 2:
-                    stream.append(None)
-                    continue
-                is_write = bool(flags[i] & 1)
-                end = pos + counts[i]
-                stream.append([
-                    CoalescedRequest(req_line[p], is_write, req_lanes[p])
-                    for p in range(pos, end)
-                ])
-                pos = end
-            out.append(stream)
-        self._coalesced[line_size] = out
-        return out
+        return (self._req_line.tolist(),
+                np.cumsum(self._inst_req_counts).tolist(),
+                self._inst_flags.tolist(),
+                self._cu_bounds.tolist())
 
     # -- validation --------------------------------------------------------
     def validate_fast(self) -> None:
@@ -239,9 +223,7 @@ class CompiledTrace:
     def thaw(self) -> Trace:
         """The full per-lane :class:`Trace`, rebuilt lazily (memoized).
 
-        The thawed trace shares this object's address space and is
-        seeded with the already-materialized coalesced lists, so
-        thawing never re-coalesces what the compilation already holds.
+        The thawed trace shares this object's address space.
         """
         if self._thawed is not None:
             return self._thawed
@@ -269,7 +251,6 @@ class CompiledTrace:
             issue_interval=self.issue_interval,
             metadata=self.metadata,
         )
-        trace._coalesced.update(self._coalesced)
         self._thawed = trace
         return trace
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.gpu.coalescer import CoalescedRequest, Coalescer
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import DEFAULT_LINE_SIZE, line_address, page_number
 
@@ -112,42 +111,12 @@ class Trace:
     # *wants* to issue memory instructions when nothing stalls it.
     issue_interval: float = 4.0
     metadata: Dict[str, object] = field(default_factory=dict)
-    # Lazily-built coalesced request lists, keyed by line size (see
-    # coalesced_per_cu).  Never part of equality or repr.
-    _coalesced: Dict[int, List[List[Optional[List[CoalescedRequest]]]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.per_cu:
             raise ValueError("trace needs at least one CU stream")
         if self.issue_interval <= 0:
             raise ValueError("issue interval must be positive")
-
-    def coalesced_per_cu(
-        self, line_size: int = DEFAULT_LINE_SIZE
-    ) -> List[List[Optional[List[CoalescedRequest]]]]:
-        """Per-CU, per-instruction coalesced request lists, memoized.
-
-        Coalescing is a pure function of an instruction's lane addresses,
-        so the lists are computed once per (trace, line size) and reused:
-        replaying the same trace under a second MMU design — or a repeat
-        timing run — skips re-coalescing entirely.  Scratchpad
-        instructions coalesce to ``None`` (they never reach the memory
-        hierarchy); every other entry is a non-empty list of requests,
-        shared freely because requests are immutable.
-        """
-        cached = self._coalesced.get(line_size)
-        if cached is None:
-            coalesce = Coalescer(line_size).coalesce
-            cached = [
-                [None if inst.scratchpad
-                 else coalesce(inst.addresses, inst.is_write)
-                 for inst in stream]
-                for stream in self.per_cu
-            ]
-            self._coalesced[line_size] = cached
-        return cached
 
     @property
     def n_cus(self) -> int:

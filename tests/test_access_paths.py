@@ -231,6 +231,47 @@ SAME_PAGE_L1_EVICTION = _one_cu_case(
 )
 
 
+def _counter_fbt_case(name: str, per_cu, small_pages: int, synonym: bool,
+                      issue_interval: float, **config) -> dict:
+    case = _base_case(
+        name,
+        {"kind": "vc", "fbt_l2_tlb": True, "synonym_remapping": False,
+         "large_page_policy": "counter"},
+        per_cu, l1_sets=1, l1_ways=1, l2_sets=1, l2_banks=1,
+        tlb_entries=None, fbt_entries=4, **config)
+    case["layout"] = {"small_pages": small_pages, "large": True,
+                      "synonym": synonym}
+    case["trace"]["issue_interval"] = issue_interval
+    return case
+
+
+#: Shrunk from two fuzzing failures under the counter large-page policy
+#: with the FBT as second-level TLB: an FBT hit on a 2 MB page's
+#: counter-mode entry filed the page's base subpage in the shared TLB
+#: as a base page.  Once the 4-entry FBT evicted that entry, the base
+#: subpage got a bit-vector entry of its own, and later fills of the
+#: page's other subpages marked their lines in it — so an L2 line of
+#: subpage 511 had no FBT entry, or a bit vector missed a line.
+COUNTER_FBT_HIT_SUBPAGE_511 = _counter_fbt_case(
+    "counter-fbt-hit-subpage-511",
+    [[["r", [["s", 1, 1], ["a", 2, 2], ["s", 0, 3]]]],
+     [["r", [["l", 1, 31]]],
+      ["r", [["l", 0, 1], ["s", 3, 1]]],
+      ["r", [["l", 0, 2], ["l", 511, 3], ["a", 1, 2], ["s", 3, 2]]]]],
+    small_pages=4, synonym=True, issue_interval=1.0,
+    l2_ways=3, iommu_entries=4,
+)
+COUNTER_FBT_HIT_BIT_VECTOR = _counter_fbt_case(
+    "counter-fbt-hit-bit-vector",
+    [[["r", [["l", 3, 31]]], ["r", [["l", 0, 31]]]],
+     [["r", [["l", 511, 1]]],
+      ["r", [["a", 1, 1], ["a", 0, 3], ["l", 0, 31], ["l", 511, 31]]],
+      ["r", [["l", 3, 3]]]]],
+    small_pages=3, synonym=False, issue_interval=4.0,
+    l2_ways=2, iommu_entries=16,
+)
+
+
 # -- building and running a case ----------------------------------------
 
 def _soc_config(c: dict) -> SoCConfig:
@@ -361,6 +402,8 @@ def assert_paths_agree(case: dict) -> dict:
 @example(case=THREE_BANK_L2)
 @example(case=SYNONYM_REFILL_L1)
 @example(case=SAME_PAGE_L1_EVICTION)
+@example(case=COUNTER_FBT_HIT_SUBPAGE_511)
+@example(case=COUNTER_FBT_HIT_BIT_VECTOR)
 def test_observability_never_changes_the_outcome(case):
     assert_paths_agree(case)
 

@@ -13,12 +13,19 @@ import random
 import numpy as np
 import pytest
 
-from repro.gpu.coalescer import Coalescer, coalesce_arrays
+from repro.gpu.coalescer import CoalescedRequest, Coalescer, coalesce_arrays
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.permissions import Permissions
 from repro.memsys.tlb import TLB
 from repro.system.config import SoCConfig
-from repro.system.designs import BASELINE_512, IDEAL_MMU, VC_WITH_OPT
+from repro.obs import Observability
+from repro.robustness.fault_plan import FaultInjector, FaultPlan
+from repro.system.designs import (
+    BASELINE_512,
+    IDEAL_MMU,
+    L1_ONLY_VC_32,
+    VC_WITH_OPT,
+)
 from repro.system.run import simulate
 from repro.workloads import compiled as compiled_module
 from repro.workloads import registry
@@ -54,17 +61,10 @@ def _small_trace():
 
 
 def _requests_equal(a, b):
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert len(sa) == len(sb)
-        for ra, rb in zip(sa, sb):
-            if ra is None:
-                assert rb is None
-                continue
-            assert len(ra) == len(rb)
-            for x, y in zip(ra, rb):
-                assert (x.line_addr, x.is_write, x.n_lanes, x.vpn) == (
-                    y.line_addr, y.is_write, y.n_lanes, y.vpn)
+    """Two ``coalesced_per_cu()`` results hold the same four lists."""
+    assert len(a) == len(b) == 4
+    for x, y in zip(a, b):
+        assert x == y
 
 
 class TestCoalesceArrays:
@@ -108,24 +108,26 @@ class TestCoalesceArrays:
 def _reference_requests(compiled):
     """The dict :class:`Coalescer` run over every instruction's lanes.
 
-    Reads the lane arrays directly rather than through ``thaw()``,
-    whose trace is seeded with the compiled request lists.
+    Returns the four lists of :meth:`CompiledTrace.coalesced_per_cu`:
+    request lines, each instruction's end in them, its flags, and the
+    per-CU instruction bounds.
     """
     coalesce = Coalescer(compiled.line_size).coalesce
-    lanes = compiled._lanes.tolist()
-    counts = compiled._lane_counts.tolist()
-    flags = compiled._inst_flags.tolist()
-    bounds = compiled._cu_bounds.tolist()
-    out, cursor = [], 0
-    for cu in range(compiled.n_cus):
-        stream = []
-        for i in range(bounds[cu], bounds[cu + 1]):
-            addresses = lanes[cursor:cursor + counts[i]]
-            cursor += counts[i]
-            stream.append(None if flags[i] & 2
-                          else coalesce(addresses, bool(flags[i] & 1)))
-        out.append(stream)
-    return out
+    lines, inst_end, flags, bounds = [], [], [], [0]
+    for stream in compiled.thaw().per_cu:
+        for inst in stream:
+            if not inst.scratchpad:
+                requests = coalesce(inst.addresses, inst.is_write)
+                assert all(r.is_write == inst.is_write for r in requests)
+                lines.extend(r.line_addr for r in requests)
+            inst_end.append(len(lines))
+            flags.append(int(inst.is_write) | int(inst.scratchpad) << 1)
+        bounds.append(len(flags))
+    return lines, inst_end, flags, bounds
+
+
+def _request_counts(inst_end):
+    return [end - start for start, end in zip([0] + inst_end, inst_end)]
 
 
 def _assert_same_compilation(a, b):
@@ -140,11 +142,18 @@ def _assert_same_compilation(a, b):
 
 class TestCompiledTrace:
     def test_coalesced_lists_identical_to_fresh(self):
+        assert len(registry.WORKLOADS) == 15
         for name in sorted(registry.WORKLOADS):
             compiled = registry.load_fresh(name, scale=0.05)
             compiled.validate_fast()
-            _requests_equal(_reference_requests(compiled),
-                            compiled.coalesced_per_cu())
+            lines, inst_end, flags, bounds = compiled.coalesced_per_cu()
+            ref_lines, ref_end, ref_flags, ref_bounds = (
+                _reference_requests(compiled))
+            assert lines == ref_lines, name
+            assert _request_counts(inst_end) == _request_counts(ref_end), name
+            assert [f & 1 for f in flags] == [f & 1 for f in ref_flags], name
+            assert [f & 2 for f in flags] == [f & 2 for f in ref_flags], name
+            assert bounds == ref_bounds, name
 
     def test_simulate_surface(self):
         trace = _small_trace().thaw()
@@ -366,6 +375,57 @@ class TestRegistryIntegration:
     def test_disabled_store_reports_zero(self):
         assert registry.trace_cache_stats() == {
             "hits": 0, "misses": 0, "stores": 0}
+
+
+def _hand_built_trace():
+    space = AddressSpace(asid=0)
+    m = space.mmap(2)
+    a, b = m.base_va, m.base_va + 4096
+    return Trace(
+        name="hand",
+        per_cu=[
+            [MemoryInstruction(addresses=(a, b, a + 4)),
+             MemoryInstruction(addresses=(a + 128,), is_write=True),
+             MemoryInstruction(addresses=(0,), scratchpad=True),
+             MemoryInstruction(addresses=(b + 256, a))],
+            [MemoryInstruction(addresses=(b,), is_write=True),
+             MemoryInstruction(addresses=(a + 128, b + 128))],
+        ],
+        address_space=space,
+    )
+
+
+class TestNoRequestObjects:
+    def test_no_simulation_path_builds_a_request_object(self, monkeypatch):
+        """``simulate()`` and every access path replay the request arrays."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a per-request object")
+
+        monkeypatch.setattr(CoalescedRequest, "__init__", refuse)
+        monkeypatch.setattr(Coalescer, "coalesce", refuse)
+        makers = ((lambda: registry.load_fresh("bfs", scale=0.05), 0.02),
+                  (_hand_built_trace, 0.25))
+        runs = 0
+        for make_trace, fault_rate in makers:
+            for design in (BASELINE_512, VC_WITH_OPT, L1_ONLY_VC_32):
+                for obs in (None, Observability()):
+                    for faults in (False, True):
+                        trace = make_trace()
+                        config = design.soc_config(SoCConfig())
+                        hierarchy = design.build(
+                            config, {0: trace.address_space.page_table},
+                            obs=obs)
+                        if faults:
+                            plan = FaultPlan.for_trace(trace, fault_rate,
+                                                       seed=1)
+                            assert len(plan)
+                            hierarchy = FaultInjector(
+                                hierarchy, plan, trace.address_space)
+                        result = simulate(trace, hierarchy, config,
+                                          design=design.name, obs=obs)
+                        assert result.requests > 0
+                        runs += 1
+        assert runs == 24
 
 
 class TestMicroMemoInvalidation:

@@ -3,12 +3,16 @@
 Extracts every ``repro-experiment ...`` invocation from the fenced
 code blocks in README.md and EXPERIMENTS.md, validates it against the
 real argparse parser (unknown flags or experiment names fail), and
-smoke-runs the cheap ones end-to-end.
+smoke-runs the cheap ones end-to-end.  The quick stand-alone scripts
+under ``examples/`` run too, each in its own interpreter.
 """
 
 from __future__ import annotations
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,22 @@ def test_cheap_documented_commands_run(tmp_path, capsys, monkeypatch):
     for name in sorted(CHEAP):
         assert main([name]) == 0
         assert capsys.readouterr().out.strip()
+
+
+#: Stand-alone examples that finish in seconds (``service_client.py``
+#: runs in ``test_service.py``; ``graph_analytics_sweep.py`` takes
+#: about 11 s and is left out).
+QUICK_EXAMPLES = ("quickstart", "custom_workload",
+                  "multiprocess_timesharing", "synonyms_and_shootdowns")
+
+
+@pytest.mark.parametrize("name", QUICK_EXAMPLES)
+def test_quick_example_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env.pop("REPRO_SCALE", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / f"{name}.py")],
+        capture_output=True, text=True, timeout=300, env=env,
+        cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

@@ -227,7 +227,8 @@ class TestFBTSecondLevelTLB:
     def test_forward_translate_hit(self):
         fbt = ForwardBackwardTable(n_entries=64, associativity=4)
         fbt.check_access(0, 100, 5, Permissions.READ_ONLY, 0, False)
-        assert fbt.forward_translate(0, 100) == (5, Permissions.READ_ONLY)
+        assert fbt.forward_translate(0, 100) == (
+            5, Permissions.READ_ONLY, False, 0, 0)
 
     def test_forward_translate_miss(self):
         fbt = ForwardBackwardTable(n_entries=64, associativity=4)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.l1_only import ASDT, L1OnlyVirtualHierarchy
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import line_address
 from repro.memsys.permissions import Permissions, ReadWriteSynonymFault
@@ -16,14 +15,6 @@ def space():
 
 def l1vc(small_config, space):
     return L1OnlyVirtualHierarchy(small_config, {0: space.page_table})
-
-
-def read_req(va):
-    return CoalescedRequest(line_addr=line_address(va), is_write=False, n_lanes=1)
-
-
-def write_req(va):
-    return CoalescedRequest(line_addr=line_address(va), is_write=True, n_lanes=1)
 
 
 class TestASDT:
@@ -62,17 +53,17 @@ class TestL1OnlyHierarchy:
     def test_l1_read_hit_skips_translation(self, small_config, space):
         h = l1vc(small_config, space)
         m = space.mmap(1)
-        t1 = h.access(0, read_req(m.base_va), now=0.0)
+        t1 = h.access(0, line_address(m.base_va), False, now=0.0)
         before = h.counters["tlb.accesses"]
-        t2 = h.access(0, read_req(m.base_va), now=t1)
+        t2 = h.access(0, line_address(m.base_va), False, now=t1)
         assert h.counters["tlb.accesses"] == before  # no TLB consulted
         assert t2 - t1 == small_config.l1_latency
 
     def test_l1_miss_consults_per_cu_tlb(self, small_config, space):
         h = l1vc(small_config, space)
         m = space.mmap(2)
-        t1 = h.access(0, read_req(m.base_va), now=0.0)
-        h.access(0, read_req(m.base_va + 4096), now=t1)
+        t1 = h.access(0, line_address(m.base_va), False, now=0.0)
+        h.access(0, line_address(m.base_va + 4096), False, now=t1)
         assert h.counters["tlb.accesses"] == 2
         assert h.counters["tlb.misses"] == 2
 
@@ -81,31 +72,31 @@ class TestL1OnlyHierarchy:
         # a physical address — the key limit of L1-only designs.
         h = l1vc(small_config, space)
         m = space.mmap(1)
-        t1 = h.access(0, read_req(m.base_va), now=0.0)
+        t1 = h.access(0, line_address(m.base_va), False, now=0.0)
         before = h.counters["tlb.accesses"]
-        h.access(0, write_req(m.base_va), now=t1)
+        h.access(0, line_address(m.base_va), True, now=t1)
         assert h.counters["tlb.accesses"] == before + 1
 
     def test_l2_is_physically_indexed(self, small_config, space):
         h = l1vc(small_config, space)
         m = space.mmap(1)
-        h.access(0, read_req(m.base_va), now=0.0)
+        h.access(0, line_address(m.base_va), False, now=0.0)
         pa = space.translate(m.base_va)
         assert h.l2.contains(pa // 128)
 
     def test_l2_shared_across_cus(self, small_config, space):
         h = l1vc(small_config, space)
         m = space.mmap(1)
-        t1 = h.access(0, read_req(m.base_va), now=0.0)
-        h.access(1, read_req(m.base_va), now=t1)
+        t1 = h.access(0, line_address(m.base_va), False, now=0.0)
+        h.access(1, line_address(m.base_va), False, now=t1)
         assert h.counters["l2.hits"] == 1
 
     def test_synonym_read_replays_to_leading_l1_line(self, small_config, space):
         h = l1vc(small_config, space)
         m = space.mmap(1, permissions=Permissions.READ_ONLY)
         syn = space.map_synonym(m)
-        t1 = h.access(0, read_req(m.base_va), now=0.0)
-        h.access(0, read_req(syn.base_va), now=t1)
+        t1 = h.access(0, line_address(m.base_va), False, now=0.0)
+        h.access(0, line_address(syn.base_va), False, now=t1)
         assert h.counters["vc.synonym_replays"] == 1
         # Replay hit the leading line already in this CU's L1.
         assert h.counters["vc.l1_hits"] >= 1
@@ -117,10 +108,10 @@ class TestL1OnlyHierarchy:
         # Cache the leading copy, then write it while resident: a
         # subsequent synonymous read could observe stale L1 data, so
         # the design faults.
-        t1 = h.access(0, read_req(m.base_va), now=0.0)
-        t2 = h.access(0, write_req(m.base_va), now=t1)
+        t1 = h.access(0, line_address(m.base_va), False, now=0.0)
+        t2 = h.access(0, line_address(m.base_va), True, now=t1)
         with pytest.raises(ReadWriteSynonymFault):
-            h.access(0, read_req(syn.base_va), now=t2)
+            h.access(0, line_address(syn.base_va), False, now=t2)
 
     def test_write_to_untracked_page_is_safe(self, small_config, space):
         # A write-through to a page with no L1-resident data creates no
@@ -129,13 +120,13 @@ class TestL1OnlyHierarchy:
         h = l1vc(small_config, space)
         m = space.mmap(1)
         syn = space.map_synonym(m)
-        t1 = h.access(0, write_req(m.base_va), now=0.0)
-        t2 = h.access(0, read_req(syn.base_va), now=t1)  # no fault
+        t1 = h.access(0, line_address(m.base_va), True, now=0.0)
+        t2 = h.access(0, line_address(syn.base_va), False, now=t1)  # no fault
         assert h.counters.as_dict().get("vc.synonym_replays", 0) == 0
 
     def test_asdt_tracks_l1_contents(self, small_config, space):
         h = l1vc(small_config, space)
         m = space.mmap(1)
-        h.access(0, read_req(m.base_va), now=0.0)
+        h.access(0, line_address(m.base_va), False, now=0.0)
         pa = space.translate(m.base_va)
         assert h.asdt.leading_of(pa // 4096) is not None

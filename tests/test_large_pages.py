@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.fbt import ForwardBackwardTable
 from repro.core.virtual_hierarchy import VirtualCacheHierarchy
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import (
     BASE_PAGES_PER_LARGE,
@@ -210,11 +209,10 @@ class TestHierarchyWithLargePages:
         t = 0.0
         for i in range(40):
             va = m.base_va + (i * 37) % 500 * 4096 + (i % 32) * 128
-            req = CoalescedRequest(line_address(va), i % 5 == 0, 1)
-            t = h.access(0, req, t) + 1
+            t = h.access(0, line_address(va), i % 5 == 0, t) + 1
         # Reads hit after fills.
         va = m.base_va + 37 * 4096 + 128
-        t2 = h.access(0, CoalescedRequest(line_address(va), False, 1), t)
+        t2 = h.access(0, line_address(va), False, t)
         return h, space, m
 
     def test_subpage_policy_end_to_end(self, small_config):

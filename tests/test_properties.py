@@ -225,7 +225,6 @@ def test_fbt_rw_synonym_fault_conditions(accesses):
 @settings(max_examples=60, deadline=None)
 def test_vc_bit_vectors_track_l2_exactly(accesses):
     from repro.core.virtual_hierarchy import VirtualCacheHierarchy, line_key
-    from repro.gpu.coalescer import CoalescedRequest
     from repro.memsys.address_space import AddressSpace
     from repro.memsys.iommu import IOMMUConfig
     from repro.system.config import SoCConfig
@@ -247,7 +246,7 @@ def test_vc_bit_vectors_track_l2_exactly(accesses):
     t = 0.0
     for cu, page, line, is_write in accesses:
         va = m.base_va + page * 4096 + line * 128
-        t = h.access(cu, CoalescedRequest(va // 128, is_write, 1), t) + 1
+        t = h.access(cu, va // 128, is_write, t) + 1
 
     # For every BT entry, the bit vector equals the L2's actual contents.
     for entry in h.fbt.bt.entries():

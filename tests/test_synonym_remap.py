@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.synonym_remap import SynonymRemapTable
 from repro.core.virtual_hierarchy import VirtualCacheHierarchy
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import line_address, page_number
 from repro.memsys.permissions import Permissions
@@ -63,7 +62,7 @@ class TestHierarchyWithSRT:
         return h, space, m, syn
 
     def read(self, h, cu, va, now):
-        return h.access(cu, CoalescedRequest(line_address(va), False, 1), now)
+        return h.access(cu, line_address(va), False, now)
 
     def test_repeated_synonym_accesses_without_srt_replay_every_time(
             self, small_config):
