@@ -53,13 +53,9 @@ class InvalidationOrder:
     n_subpages: int = 1
 
 
-@dataclass(slots=True)
+@dataclass
 class AccessCheck:
-    """Outcome of the FBT consultation on an L2 virtual-cache miss.
-
-    ``slots=True``: allocated once per L2 miss, so it carries no
-    per-instance ``__dict__``.
-    """
+    """Outcome of the FBT consultation on an L2 virtual-cache miss."""
 
     status: str  # "new_leading" | "leading" | "synonym"
     entry: BTEntry

@@ -67,14 +67,9 @@ class IOMMUConfig:
             raise ValueError("bank_select must be 'low' or 'high'")
 
 
-@dataclass(slots=True)
+@dataclass
 class TranslationOutcome:
-    """A completed translation, with timing and provenance.
-
-    ``slots=True``: one outcome is allocated per IOMMU translation —
-    the whole-hierarchy-miss hot path — so it carries no per-instance
-    ``__dict__``.
-    """
+    """A completed translation, with timing and provenance."""
 
     vpn: int
     ppn: int
