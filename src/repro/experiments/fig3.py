@@ -38,10 +38,6 @@ class Fig3Result:
         """Workloads by descending mean access rate (the figure's x order)."""
         return sorted(self.rates, key=lambda w: self.rates[w].mean, reverse=True)
 
-    def high_bandwidth_group(self, threshold: float = 0.3) -> List[str]:
-        """Workloads whose demand marks them high-translation-bandwidth."""
-        return [w for w in self.sorted_workloads() if self.rates[w].mean > threshold]
-
     def render(self) -> str:
         order = self.sorted_workloads()
         chart = bar_chart(

@@ -34,10 +34,6 @@ class DRAM:
     def reads(self) -> int:
         return self._link.total_requests
 
-    @property
-    def bytes_transferred(self) -> int:
-        return self._link.total_bytes
-
     def access_line(self, now: float) -> float:
         """Fetch (or write back) one cache line; return completion time."""
         return self._link.request(now, self.line_size)

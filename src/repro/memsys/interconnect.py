@@ -34,8 +34,3 @@ class InterconnectConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"latency {name} must be nonnegative")
-
-    @property
-    def iommu_round_trip(self) -> float:
-        """Request + response latency for a translation service request."""
-        return self.gpu_to_iommu + self.iommu_to_gpu
