@@ -43,7 +43,6 @@ from repro.obs import (
     JsonLinesTracer,
     MetricsRegistry,
     Observability,
-    Profiler,
     RecordingTracer,
 )
 from repro.system.run import SimulationResult, simulate
@@ -75,6 +74,6 @@ __all__ = [
     "IDEAL_MMU", "BASELINE_512", "BASELINE_16K", "BASELINE_LARGE_PER_CU",
     "VC_WITHOUT_OPT", "VC_WITH_OPT", "L1_ONLY_VC_32", "L1_ONLY_VC_128",
     "SimulationResult", "simulate", "quickstart",
-    "Observability", "MetricsRegistry", "Profiler",
+    "Observability", "MetricsRegistry",
     "JsonLinesTracer", "RecordingTracer",
 ]

@@ -885,29 +885,23 @@ def main(argv=None) -> int:
         GLOBAL_CACHE.obs = obs
     profiler = None
     if args.profile:
-        from repro.obs import Profiler
+        from repro.obs import RecordingTracer
 
-        profiler = GLOBAL_CACHE.profiler = Profiler()
+        profiler = GLOBAL_CACHE.profiler = RecordingTracer()
 
     wall_start = time.time()
     chosen = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     exit_code = 0
     if args.experiment == "sweep":
         start = time.time()
-        if profiler is not None:
-            with profiler.span("experiment:sweep"):
-                exit_code = _run_sweep(args, obs)
-        else:
+        with GLOBAL_CACHE._span("experiment:sweep"):
             exit_code = _run_sweep(args, obs)
         if exit_code == 0:
             print(f"[sweep completed in {time.time() - start:.1f}s]\n")
     else:
         for name in chosen:
             start = time.time()
-            if profiler is not None:
-                with profiler.span(f"experiment:{name}"):
-                    rendered = EXPERIMENTS[name]()
-            else:
+            with GLOBAL_CACHE._span(f"experiment:{name}"):
                 rendered = EXPERIMENTS[name]()
             print(rendered)
             print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
@@ -939,7 +933,10 @@ def main(argv=None) -> int:
             print(f"wrote {args.trace_out} "
                   f"({obs.tracer.events_emitted} events)")
     if profiler is not None:
-        print(profiler.report())
+        from repro.obs.trace_view import render_traces
+
+        print("profile (wall-clock):")
+        print(render_traces(profiler.events), end="")
     return exit_code
 
 

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, run manifests, and profiling.
+"""Observability: tracing, metrics, and run manifests.
 
 This package is the simulator's measurement layer.  The paper's claims
 are about *where time goes* — queueing at the shared IOMMU TLB port,
@@ -11,8 +11,9 @@ four pieces here can:
   gauges, and log-scale latency histograms (p50/p95/p99);
 * :mod:`repro.obs.manifest` — JSON run artifacts (config, workload,
   design, git SHA, wall-clock, all metrics);
-* :mod:`repro.obs.profiler` — host wall-clock spans around pipeline
-  stages.
+* :mod:`repro.obs.trace_context` — span identity for wall-clock
+  ``span`` records: service requests, and the pipeline stages the
+  CLI's ``--profile`` prints.
 
 :class:`Observability` bundles them so one object threads through the
 hierarchy constructors, the IOMMU, and ``simulate()``:
@@ -38,7 +39,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry, MetricsScope
-from repro.obs.profiler import Profiler, Span
 from repro.obs.promexp import render_prometheus, validate_exposition
 from repro.obs.timeline import Timeline
 from repro.obs.trace_context import ContextTracer, TraceContext
@@ -58,9 +58,7 @@ __all__ = [
     "MetricsScope",
     "NullTracer",
     "Observability",
-    "Profiler",
     "RecordingTracer",
-    "Span",
     "Timeline",
     "TraceContext",
     "build_manifest",
@@ -80,9 +78,9 @@ class Observability:
     full-VC hierarchies run their compiled access paths.  Attaching a
     bundle selects the instrumented method paths; the tracer may still
     be :data:`NULL_TRACER` — metrics and manifests work without
-    tracing.  (The host-time :class:`Profiler` is not part of the
-    bundle: it times the pipeline around the simulator, so it rides on
-    :class:`~repro.experiments.common.ResultCache` instead.)
+    tracing.  (Wall-clock pipeline profiling is not part of the
+    bundle: it times the pipeline around the simulator, so its tracer
+    rides on :class:`~repro.experiments.common.ResultCache` instead.)
     """
 
     def __init__(
