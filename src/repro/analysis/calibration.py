@@ -26,7 +26,7 @@ from repro.analysis.report import format_table
 from repro.system.config import SoCConfig
 from repro.system.designs import BASELINE_512, IDEAL_MMU, VC_WITH_OPT
 from repro.system.run import simulate
-from repro.workloads.trace import Trace
+from repro.workloads.compiled import CompiledTrace
 
 
 __all__ = [
@@ -79,7 +79,7 @@ class OperatingPoint:
                 f"{self.baseline_slowdown:.2f}x", f"{self.filter_rate:.2f}"]
 
 
-def measure(trace: Trace, config: Optional[SoCConfig] = None) -> OperatingPoint:
+def measure(trace: CompiledTrace, config: Optional[SoCConfig] = None) -> OperatingPoint:
     """Measure a trace's operating point (three simulations)."""
     config = config if config is not None else SoCConfig()
     tables = {trace.address_space.asid: trace.address_space.page_table}

@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 from repro.engine.stats import Counters
 from repro.memsys.addressing import lines_per_page, page_number
 from repro.memsys.permissions import PageFault, PermissionFault, Permissions
-from repro.workloads.compiled import compile_trace
 
 _ASID_SHIFT = 52
 _LINES_PER_PAGE = lines_per_page()
@@ -95,7 +94,7 @@ class FaultPlan:
         candidates: List[int] = []
         seen = set()
         # Every coalesced request, in CU-major order, as its line address.
-        lines = compile_trace(trace).coalesced_per_cu()[0]
+        lines = trace.coalesced_per_cu()[0]
         n_requests = len(lines)
         for line in lines:
             vpn = line // _LINES_PER_PAGE

@@ -1,22 +1,18 @@
 """Workload trace generators (Rodinia-like and Pannotia-like kernels)."""
 
-from repro.workloads.trace import MemoryInstruction, Trace
-
-__all__ = ["MemoryInstruction", "Trace"]
-
-from repro.workloads.registry import (  # noqa: E402
+from repro.workloads.registry import (
     HIGH_BANDWIDTH,
     LOW_BANDWIDTH,
     WORKLOADS,
     load,
 )
-from repro.workloads.synthetic import (  # noqa: E402
+from repro.workloads.synthetic import (
     gather_kernel,
     multiprocess_homonyms,
     synonym_stress,
 )
 
-__all__ += [
+__all__ = [
     "HIGH_BANDWIDTH", "LOW_BANDWIDTH", "WORKLOADS", "load",
     "gather_kernel", "multiprocess_homonyms", "synonym_stress",
 ]

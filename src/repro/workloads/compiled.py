@@ -1,11 +1,11 @@
 """Compiled binary traces: precoalesced, mmap-able workload replays.
 
-A :class:`CompiledTrace` is the form every workload generator returns:
-structure-of-arrays NumPy containers holding each instruction's lane
-addresses and flags, plus its coalesced line requests, computed once
-for the whole trace in one vectorized pass
-(:func:`~repro.gpu.coalescer.coalesce_arrays`, via
-:func:`compile_arrays`); the dict
+A :class:`CompiledTrace` is the one trace type: what every workload
+generator returns, built by :class:`~repro.workloads.device.TraceBuilder`
+or :func:`compile_arrays`.  Structure-of-arrays NumPy containers hold
+each instruction's lane addresses and flags, plus its coalesced line
+requests, computed once for the whole trace in one vectorized pass
+(:func:`~repro.gpu.coalescer.coalesce_arrays`); the dict
 :class:`~repro.gpu.coalescer.Coalescer` survives only as the reference
 the tests check that pass against.  :func:`~repro.system.run.simulate`
 replays the request arrays themselves, as plain lists
@@ -29,7 +29,7 @@ The on-disk layout is one directory per compilation key
         req_line.npy         # (n_reqs,) coalesced line addresses
         req_lanes.npy        # (n_reqs,) lanes served per request
         lane_counts.npy      # (n_insts,) lanes per instruction
-        lanes.npy            # (n_lanes,) raw lane addresses (for thaw())
+        lanes.npy            # (n_lanes,) raw lane addresses
 
 Directories are written to a temp name and renamed into place, so
 concurrent writers are safe; a corrupt or truncated compilation is
@@ -53,20 +53,15 @@ import numpy as np
 
 from repro.gpu.coalescer import coalesce_arrays
 from repro.memsys.address_space import AddressSpace
-from repro.memsys.addressing import DEFAULT_LINE_SIZE
+from repro.memsys.addressing import DEFAULT_LINE_SIZE, PAGE_SIZE
 from repro.memsys.permissions import Permissions
-from repro.workloads.trace import (
-    MemoryInstruction,
-    Trace,
-    TraceValidationError,
-)
 
 __all__ = [
     "COMPILED_FORMAT_VERSION",
     "CompiledTrace",
     "TraceStore",
+    "TraceValidationError",
     "compile_arrays",
-    "compile_trace",
     "load_compiled",
     "mapping_rows",
     "rebuild_address_space",
@@ -88,19 +83,22 @@ _ARRAY_FILES = (
 )
 
 
+class TraceValidationError(ValueError):
+    """A compiled trace (usually loaded from disk) is structurally invalid."""
+
+
 class CompiledTrace:
-    """A trace compiled to structure-of-arrays form.
+    """A workload trace: one instruction stream per CU, as flat arrays.
 
     What every workload generator returns and every ``registry.load``
     hands back, whether generated in this process or mmapped from a
-    :class:`TraceStore`.  Exposes the surface
-    :func:`~repro.system.run.simulate` and the experiment drivers touch
-    directly — ``name``, ``issue_interval``, ``metadata``,
-    ``address_space``, ``n_cus``, ``n_instructions`` and
-    :meth:`coalesced_per_cu` — from the arrays alone.  Anything else
-    (``per_cu``, ``truncated``, divergence statistics) transparently
-    *thaws* the full :class:`~repro.workloads.trace.Trace` from the
-    stored lane addresses; the hot replay path never pays for that.
+    :class:`TraceStore`.  ``simulate()`` and the experiment drivers read
+    ``name``, ``issue_interval`` (mean compute cycles between a CU's
+    memory instructions: the workload's arithmetic-intensity knob),
+    ``metadata``, ``address_space``, ``n_cus``, ``n_instructions`` and
+    :meth:`coalesced_per_cu`; the summary statistics are reductions
+    over the same arrays.  A scratchpad instruction (flag bit 1) never
+    reaches the TLB or the caches (§2.1) and has no requests.
     """
 
     def __init__(
@@ -130,7 +128,6 @@ class CompiledTrace:
         self._req_lanes = req_lanes
         self._lane_counts = lane_counts
         self._lanes = lanes
-        self._thawed: Optional[Trace] = None
 
     # -- the simulate-facing surface --------------------------------------
     @property
@@ -159,14 +156,31 @@ class CompiledTrace:
                 self._inst_flags.tolist(),
                 self._cu_bounds.tolist())
 
+    # -- summary statistics ------------------------------------------------
+    def footprint_pages(self) -> int:
+        """Distinct 4 KB virtual pages the memory instructions touch."""
+        return int(np.unique(
+            self._req_line // (PAGE_SIZE // self.line_size)).size)
+
+    def mean_divergence(self) -> float:
+        """Average coalesced line requests per global-memory instruction."""
+        memory = self.n_instructions - self._scratchpad_count()
+        return int(self._req_line.size) / memory if memory else 0.0
+
+    def scratchpad_fraction(self) -> float:
+        """Fraction of instructions that hit only the scratchpad."""
+        total = self.n_instructions
+        return self._scratchpad_count() / total if total else 0.0
+
+    def _scratchpad_count(self) -> int:
+        return int(np.count_nonzero(self._inst_flags & 2))
+
     # -- validation --------------------------------------------------------
     def validate_fast(self) -> None:
         """Vectorized structural validation of the backing arrays.
 
-        The array-backed twin of
-        :func:`~repro.workloads.trace.validate_trace`: every check runs
-        as one NumPy reduction instead of a Python loop per lane.
-        Raises :class:`~repro.workloads.trace.TraceValidationError`.
+        Every check runs as one NumPy reduction.  Raises
+        :class:`TraceValidationError` on the first problem.
         """
         where = f"compiled trace {self.name!r}"
         if self.n_instructions == 0:
@@ -219,48 +233,6 @@ class CompiledTrace:
             raise TraceValidationError(
                 f"{where}: memory instruction with zero coalesced requests")
 
-    # -- full-Trace fallback ----------------------------------------------
-    def thaw(self) -> Trace:
-        """The full per-lane :class:`Trace`, rebuilt lazily (memoized).
-
-        The thawed trace shares this object's address space.
-        """
-        if self._thawed is not None:
-            return self._thawed
-        lanes = self._lanes.tolist()
-        lane_counts = self._lane_counts.tolist()
-        flags = self._inst_flags.tolist()
-        bounds = self._cu_bounds.tolist()
-        per_cu: List[List[MemoryInstruction]] = []
-        cursor = 0
-        for cu in range(len(bounds) - 1):
-            stream = []
-            for i in range(bounds[cu], bounds[cu + 1]):
-                end = cursor + lane_counts[i]
-                stream.append(MemoryInstruction(
-                    addresses=tuple(lanes[cursor:end]),
-                    is_write=bool(flags[i] & 1),
-                    scratchpad=bool(flags[i] & 2),
-                ))
-                cursor = end
-            per_cu.append(stream)
-        trace = Trace(
-            name=self.name,
-            per_cu=per_cu,
-            address_space=self.address_space,
-            issue_interval=self.issue_interval,
-            metadata=self.metadata,
-        )
-        self._thawed = trace
-        return trace
-
-    def __getattr__(self, attr: str):
-        # Anything outside the compiled surface (per_cu, truncated,
-        # mean_divergence, …) delegates to the thawed full trace.
-        if attr.startswith("__"):
-            raise AttributeError(attr)
-        return getattr(self.thaw(), attr)
-
     def __repr__(self) -> str:
         return (f"CompiledTrace(name={self.name!r}, n_cus={self.n_cus}, "
                 f"n_instructions={self.n_instructions}, "
@@ -312,31 +284,6 @@ def compile_arrays(name: str, issue_interval: float,
         lane_counts=lane_counts,
         lanes=lanes,
     )
-
-
-def compile_trace(trace: Union[Trace, CompiledTrace],
-                  line_size: int = DEFAULT_LINE_SIZE) -> CompiledTrace:
-    """Compile a hand-built trace into structure-of-arrays form.
-
-    One flattening pass over the instruction streams feeds
-    :func:`compile_arrays`.  A :class:`CompiledTrace` of the same line
-    size — what every generator returns — is returned unchanged.
-    """
-    if isinstance(trace, CompiledTrace) and trace.line_size == line_size:
-        return trace
-    lanes: List[int] = []
-    lane_counts: List[int] = []
-    flags: List[int] = []
-    cu_bounds: List[int] = [0]
-    for stream in trace.per_cu:
-        for inst in stream:
-            lane_counts.append(inst.n_lanes)
-            flags.append(int(inst.is_write) | (int(inst.scratchpad) << 1))
-            lanes.extend(inst.addresses)
-        cu_bounds.append(len(lane_counts))
-    return compile_arrays(trace.name, trace.issue_interval,
-                          dict(trace.metadata), trace.address_space,
-                          lanes, lane_counts, flags, cu_bounds, line_size)
 
 
 def store_key(name: str, scale: float, seed: Optional[int],
@@ -537,21 +484,16 @@ class TraceStore:
             self.hits += 1
         return compiled
 
-    def store(self, trace: Union[Trace, CompiledTrace], scale: float,
-              seed: Optional[int],
-              line_size: int = DEFAULT_LINE_SIZE) -> Optional[Path]:
-        """Persist ``trace``; ``None`` if it cannot be stored.
+    def store(self, trace: CompiledTrace, scale: float,
+              seed: Optional[int]) -> Optional[Path]:
+        """Persist ``trace`` under its own line size; ``None`` on failure.
 
-        A :class:`CompiledTrace` of this line size — what the
-        generators return — is saved as is; a hand-built
-        :class:`~repro.workloads.trace.Trace` is compiled first.  I/O
-        failures (full disk, permissions) are swallowed — losing a
+        I/O failures (full disk, permissions) are swallowed — losing a
         compilation only costs a regeneration next time.
         """
         try:
-            compiled = compile_trace(trace, line_size)
             path = save_compiled(
-                compiled, self.path_for(trace.name, scale, seed, line_size),
+                trace, self.path_for(trace.name, scale, seed, trace.line_size),
                 scale, seed)
         except (KeyboardInterrupt, SystemExit):
             raise

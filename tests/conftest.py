@@ -8,7 +8,7 @@ from repro.memsys.address_space import AddressSpace
 from repro.memsys.cache import CacheConfig
 from repro.memsys.iommu import IOMMUConfig
 from repro.system.config import SoCConfig
-from repro.workloads.trace import MemoryInstruction, Trace
+from repro.workloads.compiled import CompiledTrace, compile_arrays
 
 
 @pytest.fixture
@@ -37,21 +37,30 @@ def address_space() -> AddressSpace:
     return AddressSpace(asid=0)
 
 
-def make_trace(
+#: Instruction flag bits, as in the compiled arrays.
+WRITE = 1
+SCRATCH = 2
+
+
+def compile_streams(
     space: AddressSpace,
-    lane_addresses,
-    n_cus: int = 1,
+    per_cu,
     issue_interval: float = 4.0,
     name: str = "test",
-    is_write=None,
-) -> Trace:
-    """Build a single-CU trace from a list of per-instruction lane lists."""
-    writes = is_write if is_write is not None else [False] * len(lane_addresses)
-    stream = [
-        MemoryInstruction(addresses=tuple(addrs), is_write=w)
-        for addrs, w in zip(lane_addresses, writes)
-    ]
-    per_cu = [stream] + [[] for _ in range(n_cus - 1)]
-    per_cu = [s for s in per_cu if s] or [stream]
-    return Trace(name=name, per_cu=per_cu, address_space=space,
-                 issue_interval=issue_interval)
+    metadata=None,
+) -> CompiledTrace:
+    """Compile per-CU instruction streams into a trace.
+
+    ``per_cu`` holds one stream per CU; each instruction is a pair
+    ``(lane_addresses, flags)`` with the :data:`WRITE` and
+    :data:`SCRATCH` bits.  A CU stream may be empty.
+    """
+    lanes, lane_counts, flags, cu_bounds = [], [], [], [0]
+    for stream in per_cu:
+        for addresses, inst_flags in stream:
+            lanes.extend(addresses)
+            lane_counts.append(len(addresses))
+            flags.append(inst_flags)
+        cu_bounds.append(len(flags))
+    return compile_arrays(name, issue_interval, dict(metadata or {}), space,
+                          lanes, lane_counts, flags, cu_bounds)

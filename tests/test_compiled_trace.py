@@ -33,17 +33,12 @@ from repro.workloads.compiled import (
     _ARRAY_FILES,
     CompiledTrace,
     TraceStore,
-    compile_trace,
     load_compiled,
     store_key,
 )
 from repro.workloads.device import TraceBuilder
-from repro.workloads.trace import (
-    MemoryInstruction,
-    Trace,
-    TraceValidationError,
-    validate_trace,
-)
+
+from tests.conftest import SCRATCH, WRITE, compile_streams
 
 
 @pytest.fixture(autouse=True)
@@ -113,17 +108,20 @@ def _reference_requests(compiled):
     per-CU instruction bounds.
     """
     coalesce = Coalescer(compiled.line_size).coalesce
-    lines, inst_end, flags, bounds = [], [], [], [0]
-    for stream in compiled.thaw().per_cu:
-        for inst in stream:
-            if not inst.scratchpad:
-                requests = coalesce(inst.addresses, inst.is_write)
-                assert all(r.is_write == inst.is_write for r in requests)
-                lines.extend(r.line_addr for r in requests)
-            inst_end.append(len(lines))
-            flags.append(int(inst.is_write) | int(inst.scratchpad) << 1)
-        bounds.append(len(flags))
-    return lines, inst_end, flags, bounds
+    lanes = compiled._lanes.tolist()
+    lines, inst_end, pos = [], [], 0
+    for n_lanes, flag in zip(compiled._lane_counts.tolist(),
+                             compiled._inst_flags.tolist()):
+        addresses = lanes[pos:pos + n_lanes]
+        pos += n_lanes
+        if not flag & SCRATCH:
+            is_write = bool(flag & WRITE)
+            requests = coalesce(addresses, is_write)
+            assert all(r.is_write == is_write for r in requests)
+            lines.extend(r.line_addr for r in requests)
+        inst_end.append(len(lines))
+    return (lines, inst_end, compiled._inst_flags.tolist(),
+            compiled._cu_bounds.tolist())
 
 
 def _request_counts(inst_end):
@@ -156,31 +154,13 @@ class TestCompiledTrace:
             assert bounds == ref_bounds, name
 
     def test_simulate_surface(self):
-        trace = _small_trace().thaw()
-        compiled = compile_trace(trace)
-        assert compiled.n_cus == trace.n_cus
-        assert compiled.n_instructions == trace.n_instructions
-        assert compiled.issue_interval == trace.issue_interval
-        assert compiled.name == trace.name
-        assert compiled.address_space is trace.address_space
-
-    def test_thaw_delegates_full_trace_api(self):
         compiled = _small_trace()
-        thawed = compiled.thaw()
-        assert isinstance(thawed, Trace)
-        # Attributes outside the compiled surface thaw transparently.
-        assert compiled.footprint_pages() == thawed.footprint_pages()
-        assert len(compiled.per_cu) == compiled.n_cus
-        assert compiled.thaw() is thawed
-
-    def test_compile_trace_passes_compiled_through(self):
-        compiled = _small_trace()
-        assert compile_trace(compiled) is compiled
-        # Another line size recompiles, as the thawed trace would.
-        wide = compile_trace(compiled, line_size=128)
-        assert wide.line_size == 128
-        _assert_same_compilation(
-            wide, compile_trace(compiled.thaw(), line_size=128))
+        assert compiled.n_cus == len(compiled._cu_bounds) - 1 == 16
+        assert compiled.n_instructions == len(compiled._lane_counts) > 0
+        assert compiled.issue_interval > 0
+        assert compiled.name == "bfs"
+        assert compiled.address_space is not None
+        assert not hasattr(compiled, "per_cu")
 
     def test_builder_matches_hand_built_trace(self):
         space = AddressSpace(asid=0)
@@ -192,32 +172,16 @@ class TestCompiledTrace:
         tb.emit(4, [128, 0, 132])                 # CU 4 wraps to CU 0
         built = tb.build("mix", space, issue_interval=3.0, suite="test")
         # CUs 1 and 3 recorded nothing and are dropped.
-        scratch = MemoryInstruction(addresses=(0,), scratchpad=True)
-        hand = Trace(
-            name="mix",
-            per_cu=[
-                [MemoryInstruction(addresses=(0, 64, 4, 8192)),
-                 MemoryInstruction(addresses=(0,), is_write=True,
-                                   scratchpad=True),
-                 MemoryInstruction(addresses=(128, 0, 132))],
-                [MemoryInstruction(addresses=(4096, 4100), is_write=True),
-                 scratch, scratch, scratch],
-            ],
-            address_space=space,
-            issue_interval=3.0,
-            metadata={"suite": "test"},
-        )
+        scratch = ((0,), SCRATCH)
+        hand = compile_streams(
+            space,
+            [[((0, 64, 4, 8192), 0), ((0,), WRITE | SCRATCH),
+              ((128, 0, 132), 0)],
+             [((4096, 4100), WRITE), scratch, scratch, scratch]],
+            issue_interval=3.0, name="mix", metadata={"suite": "test"})
         assert isinstance(built, CompiledTrace)
-        _assert_same_compilation(built, compile_trace(hand))
+        _assert_same_compilation(built, hand)
         _requests_equal(_reference_requests(built), built.coalesced_per_cu())
-
-    def test_validate_trace_dispatches_to_fast_path(self):
-        compiled = compile_trace(_small_trace())
-        assert validate_trace(compiled) is compiled
-        # Break an invariant the vectorized checks must catch.
-        compiled._lanes = compiled._lanes[:-1]
-        with pytest.raises(TraceValidationError):
-            validate_trace(compiled)
 
 
 class TestStoreRoundTrip:
@@ -310,11 +274,7 @@ class TestRegistryIntegration:
         def refuse(*args, **kwargs):
             raise AssertionError("re-coalesced through the dict Coalescer")
 
-        def no_objects(self):
-            raise AssertionError("built a per-lane MemoryInstruction")
-
         monkeypatch.setattr(Coalescer, "coalesce", refuse)
-        monkeypatch.setattr(MemoryInstruction, "__post_init__", no_objects)
         registry.set_trace_cache(tmp_path)      # a store miss
         missed = registry.load("bfs", scale=0.05)
         assert registry.trace_cache_stats()["stores"] == 1
@@ -381,18 +341,12 @@ def _hand_built_trace():
     space = AddressSpace(asid=0)
     m = space.mmap(2)
     a, b = m.base_va, m.base_va + 4096
-    return Trace(
-        name="hand",
-        per_cu=[
-            [MemoryInstruction(addresses=(a, b, a + 4)),
-             MemoryInstruction(addresses=(a + 128,), is_write=True),
-             MemoryInstruction(addresses=(0,), scratchpad=True),
-             MemoryInstruction(addresses=(b + 256, a))],
-            [MemoryInstruction(addresses=(b,), is_write=True),
-             MemoryInstruction(addresses=(a + 128, b + 128))],
-        ],
-        address_space=space,
-    )
+    return compile_streams(
+        space,
+        [[((a, b, a + 4), 0), ((a + 128,), WRITE), ((0,), SCRATCH),
+          ((b + 256, a), 0)],
+         [((b,), WRITE), ((a + 128, b + 128), 0)]],
+        name="hand")
 
 
 class TestNoRequestObjects:

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.workloads import registry
-from repro.workloads.compiled import _ARRAY_FILES, compile_trace, mapping_rows
+from repro.workloads.compiled import _ARRAY_FILES, mapping_rows
 
 GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 
@@ -33,7 +33,7 @@ SCALE = 0.05
 
 
 def _digest(name: str) -> dict:
-    compiled = compile_trace(registry.load_fresh(name, scale=SCALE))
+    compiled = registry.load_fresh(name, scale=SCALE)
     digest = hashlib.sha256()
     for stem, dtype in _ARRAY_FILES:
         arr = np.ascontiguousarray(getattr(compiled, f"_{stem}"), dtype=dtype)

@@ -10,7 +10,6 @@ from repro.memsys.cache import Cache, CacheConfig
 from repro.memsys.page_table import FrameAllocator, PageTable
 from repro.memsys.permissions import Permissions, ReadWriteSynonymFault
 from repro.memsys.tlb import TLB
-from repro.workloads.trace import MemoryInstruction
 from repro.gpu.coalescer import Coalescer
 
 # ---------------------------------------------------------------------------
@@ -149,9 +148,6 @@ def test_coalescer_partitions_lanes(addresses):
     lines = [r.line_addr for r in reqs]
     assert len(lines) == len(set(lines))
     assert set(lines) == {a // 128 for a in addresses}
-    # MemoryInstruction agrees with the coalescer on distinct lines.
-    inst = MemoryInstruction(addresses=tuple(addresses))
-    assert set(inst.lines(128)) == set(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,11 @@ from repro.workloads.compiled import (
     _ARRAY_FILES,
     CompiledTrace,
     TraceStore,
+    TraceValidationError,
     load_compiled,
 )
-from repro.workloads.trace import (
-    MemoryInstruction,
-    Trace,
-    TraceValidationError,
-    validate_trace,
-)
+
+from tests.conftest import compile_streams
 
 TINY = 0.05
 
@@ -224,22 +221,18 @@ class TestCheckpointStore:
 
 class TestTraceValidation:
     def test_empty_trace_rejected(self):
+        trace = compile_streams(AddressSpace(asid=0), [[]], name="t")
         with pytest.raises(TraceValidationError, match="empty"):
-            validate_trace(Trace(name="t", per_cu=[[]]))
+            trace.validate_fast()
 
     def test_negative_address_rejected(self):
-        trace = Trace(name="t", per_cu=[[MemoryInstruction(addresses=(-4,))]])
+        trace = compile_streams(AddressSpace(asid=0), [[((-4,), 0)]],
+                                name="t")
         with pytest.raises(TraceValidationError, match="negative"):
-            validate_trace(trace)
-
-    def test_non_integer_address_rejected(self):
-        trace = Trace(name="t", per_cu=[[MemoryInstruction(addresses=(1.5,))]])
-        with pytest.raises(TraceValidationError, match="non-integer"):
-            validate_trace(trace)
+            trace.validate_fast()
 
     def test_valid_trace_passes_through(self):
-        trace = tiny_trace()
-        assert validate_trace(trace) is trace
+        tiny_trace().validate_fast()
 
     def test_round_trip_still_loads(self, tmp_path):
         trace = tiny_trace()

@@ -1,13 +1,13 @@
 """Tests for trace save/load round-tripping through the compiled store."""
 
+import numpy as np
 import pytest
 
 from repro.system.designs import BASELINE_512
 from repro.system.run import simulate
-from repro.workloads.compiled import TraceStore, compile_trace
+from repro.workloads.compiled import TraceStore, compile_arrays
 from repro.workloads.registry import load
 from repro.workloads.synthetic import synonym_stress
-from repro.workloads.trace import MemoryInstruction, Trace
 
 
 def _round_trip(trace, tmp_path):
@@ -25,25 +25,19 @@ class TestRoundTrip:
         assert reloaded.n_instructions == original.n_instructions
         assert reloaded.issue_interval == original.issue_interval
         assert reloaded.metadata == original.metadata
-        for a, b in zip(original.all_instructions(), reloaded.all_instructions()):
-            assert a.addresses == b.addresses
-            assert a.is_write == b.is_write
-            assert a.scratchpad == b.scratchpad
+        for stem in ("lanes", "lane_counts", "inst_flags", "cu_bounds"):
+            assert np.array_equal(getattr(original, f"_{stem}"),
+                                  getattr(reloaded, f"_{stem}")), stem
 
     def test_address_space_replay_reproduces_translations(self, tmp_path):
         original = load("mis", scale=0.05)
         reloaded = _round_trip(original, tmp_path)
-        checked = 0
-        for inst in original.all_instructions():
-            if inst.scratchpad:
-                continue
-            for addr in inst.addresses[:2]:
-                assert (original.address_space.translate(addr)
-                        == reloaded.address_space.translate(addr))
-                checked += 1
-            if checked > 100:
-                break
-        assert checked > 0
+        lines = original.coalesced_per_cu()[0][:200]
+        assert lines
+        for line in lines:
+            addr = line * original.line_size
+            assert (original.address_space.translate(addr)
+                    == reloaded.address_space.translate(addr))
 
     def test_synonym_mappings_survive(self, tmp_path):
         original = synonym_stress(n_pages=8, n_accesses=50, seed=9)
@@ -80,10 +74,6 @@ class TestRoundTrip:
         assert (reloaded.scratchpad_fraction()
                 == pytest.approx(original.scratchpad_fraction()))
 
-    def test_trace_without_space_rejected(self, tmp_path):
-        trace = Trace(name="x",
-                      per_cu=[[MemoryInstruction(addresses=(0,))]],
-                      issue_interval=4.0)
-        with pytest.raises(ValueError):
-            compile_trace(trace)
-        assert TraceStore(tmp_path).store(trace, 0.05, None) is None
+    def test_trace_without_space_rejected(self):
+        with pytest.raises(ValueError, match="address space"):
+            compile_arrays("x", 4.0, {}, None, [0], [1], [0], [0, 1])

@@ -5,8 +5,10 @@ Generators run at a tiny scale here; the assertions are about structure
 the benchmarks check the calibrated behaviour.
 """
 
+import numpy as np
 import pytest
 
+from repro.memsys.addressing import PAGE_SIZE
 from repro.workloads import registry
 from repro.workloads.registry import (
     HIGH_BANDWIDTH,
@@ -91,25 +93,38 @@ class TestEveryWorkload:
     def test_addresses_are_mapped(self, name):
         trace = load(name, scale=TINY)
         space = trace.address_space
-        checked = 0
-        for inst in trace.all_instructions():
-            if inst.scratchpad:
-                continue
-            for addr in inst.addresses[:2]:
-                assert space.translate(addr) is not None, hex(addr)
-                checked += 1
-            if checked > 200:
-                break
-        assert checked > 0
+        # The first lane of each memory instruction.
+        first_lanes = np.cumsum(trace._lane_counts) - trace._lane_counts
+        memory = (trace._inst_flags & 2) == 0
+        addresses = trace._lanes[first_lanes[memory]][:200].tolist()
+        assert addresses
+        for addr in addresses:
+            assert space.translate(addr) is not None, hex(addr)
 
     def test_deterministic(self, name):
         a = load(name, scale=TINY)
         clear_cache()
         b = load(name, scale=TINY)
         assert a.n_instructions == b.n_instructions
-        first_a = next(iter(a.all_instructions()))
-        first_b = next(iter(b.all_instructions()))
-        assert first_a.addresses == first_b.addresses
+        assert np.array_equal(a._lanes, b._lanes)
+
+    def test_array_statistics_match_lane_definitions(self, name):
+        trace = load(name, scale=TINY)
+        lanes = trace._lanes.tolist()
+        pages, lines, memory, scratch, pos = set(), 0, 0, 0, 0
+        for n_lanes, flags in zip(trace._lane_counts.tolist(),
+                                  trace._inst_flags.tolist()):
+            addresses = lanes[pos:pos + n_lanes]
+            pos += n_lanes
+            if flags & 2:
+                scratch += 1
+                continue
+            memory += 1
+            lines += len({a // trace.line_size for a in addresses})
+            pages.update(a // PAGE_SIZE for a in addresses)
+        assert trace.footprint_pages() == len(pages)
+        assert trace.mean_divergence() == lines / memory
+        assert trace.scratchpad_fraction() == scratch / trace.n_instructions
 
 
 class TestWorkloadCharacter:
@@ -143,4 +158,4 @@ class TestWorkloadCharacter:
 
     def test_writes_present(self):
         trace = load("mis", scale=TINY)
-        assert any(i.is_write for i in trace.all_instructions())
+        assert np.any(trace._inst_flags & 1)
