@@ -22,8 +22,9 @@ closed-loop client through the gateway and checks two invariants:
   machinery and the client's budgeted retries absorbing faults, at
   most ``max_error_rate`` of requests may fail outright.
 
-The gateway forwards with ``Connection: close`` here, so every request
-draws a fresh proxied connection and therefore a fresh fault decision —
+The gateway forwards with ``Connection: close`` here and keeps its
+point memo out of the path, so every request draws a fresh proxied
+connection and therefore a fresh fault decision —
 maximal fault exposure per request, and the fault sequence is exactly
 the seeded plan's, independent of connection pooling.
 
@@ -98,17 +99,21 @@ def parse_net_rates(text: str) -> Dict[str, float]:
 
 
 class _ClosingGateway(ShardGateway):
-    """A gateway that forwards with ``Connection: close``.
+    """A gateway that forwards every point with ``Connection: close``.
 
     One request = one proxied connection = one fault decision, which
     pins the suite's fault sequence to the seeded plan instead of to
-    connection-pool reuse patterns.
+    connection-pool reuse patterns.  It never answers from its point
+    memo, so a repeated point still crosses the faulty hop.
     """
 
     def _forward_headers(self, ctx, accept="application/json"):
         headers = super()._forward_headers(ctx, accept)
         headers["Connection"] = "close"
         return headers
+
+    def _memo_answer(self, fingerprint, counters):
+        return None
 
 
 @dataclass

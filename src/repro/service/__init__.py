@@ -22,8 +22,10 @@ genuine misses reach the simulation pool.
 * :mod:`repro.service.gateway` — :class:`ShardGateway`, the front end
   as a consistent-hash front door that shards the point-fingerprint
   keyspace across N replicas (``repro-experiment serve --replicas N``),
-  health-checks and evicts/re-admits them, and hedges in-flight points
-  to the rebuilt ring so a killed replica costs zero client failures.
+  answers points its replicas already answered from a bounded point
+  memo, health-checks and evicts/re-admits the replicas, and hedges
+  in-flight points to the rebuilt ring so a killed replica costs zero
+  client failures.
 * :mod:`repro.service.client` — :class:`ServiceClient`, a stdlib-only
   typed client (submit/poll/fetch and synchronous simulate).
 * :mod:`repro.service.http11` — the shared HTTP/1.1 framing.

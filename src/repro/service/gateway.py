@@ -16,9 +16,14 @@ Request life through the gateway::
     client ──POST /v1/simulate──> gateway
         │ parse + fingerprint (route memo caches body → plan)
         ▼
+    point memo (fingerprint → a replica's earlier answer), LRU-bounded
+        │ a resident point is answered here, tier ``memo``, with no
+        │ replica hop; only the rest go on, in one pass
+        ▼
     HashRing.lookup(fingerprint) per point ──> owner replica groups
         │ one owner group per replica (often just one): forward its
-        │ sub-request, decode the reply's point payloads
+        │ sub-request, decode the reply's point payloads (each
+        │ error-free one fills the point memo)
         ▼
     pooled keep-alive connection to each replica (X-Trace-Id flows
     through, so the client → gateway → replica → worker spans stitch
@@ -29,6 +34,14 @@ Request life through the gateway::
     ``simulations_run_total`` summed from the per-replica counts each
     forwarded reply and each health probe refreshes
 
+The point memo is safe because a point's result never changes for a
+given fingerprint (the shared disk tier relies on the same fact).  It
+is the paper's filter put in front of the shared hop: a hot point
+costs one lookup at the gateway instead of a forward, a replica's
+memo answer and a re-encode.  An entry answers a request that asks
+for counters only if it holds them; otherwise the point is forwarded
+and the answer replaces the entry.
+
 Replica management: a background health loop (interval jittered ±20%
 so probes never fall into lockstep) probes every replica's
 ``/healthz``; K consecutive probe failures, a dead managed subprocess,
@@ -36,9 +49,13 @@ or a connection-level forward failure **evicts** the replica (the ring
 is rebuilt without it) and in-flight points **hedge** to their new
 owner on the rebuilt ring, so a killed replica costs zero
 client-visible failures.  A replica whose probe recovers is
-**re-admitted** and the ring takes it back.  With ``supervise=True``
-(the CLI default) a dead *managed* replica is **respawned** in place
-with capped exponential backoff, and a flap detector gives up (and
+**re-admitted** and the ring takes it back.  A request that finds the
+ring empty, with a point the memo cannot answer, first probes every
+evicted replica once (concurrent requests share one round) and
+re-admits those that answer, rather than answering 503 until the next
+health round.  With ``supervise=True`` (the CLI default) a dead
+*managed* replica is **respawned** in place with capped exponential
+backoff, and a flap detector gives up (and
 raises the ``gateway.alarms.flapping`` metric) on a replica that keeps
 dying right after each respawn.  Deterministic per-point simulation
 failures (HTTP 500 from a healthy replica) pass through unhedged —
@@ -87,6 +104,7 @@ from repro.service.client import parse_target
 from repro.service.frontend import Frontend, run_frontend
 from repro.service.http11 import Raw
 from repro.service.protocol import ProtocolError
+from repro.service.server import TIER_MEMO
 from repro.system.config import SoCConfig
 from repro.workloads import registry
 
@@ -111,6 +129,10 @@ _MAX_POOL_PER_REPLICA = 32
 
 #: Largest request body the route memo will cache a plan for.
 _MAX_MEMO_BODY = 64 * 1024
+
+#: Point answers the point memo holds before the least recently used
+#: one is dropped.
+_MAX_POINT_MEMO = 4096
 
 
 class HashRing:
@@ -455,7 +477,11 @@ class ShardGateway(Frontend):
 
         self._route_memo: "OrderedDict[bytes, _RoutePlan]" = OrderedDict()
         self._route_memo_size = route_memo_size
+        #: fingerprint → the point payload a replica answered with.
+        self._point_memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._health_task: Optional[asyncio.Task] = None
+        #: The running round of empty-ring probes, shared by waiters.
+        self._recovery: Optional[asyncio.Future] = None
 
     # -- backend lifecycle ------------------------------------------------
     def _start_backend(self) -> None:
@@ -557,22 +583,8 @@ class ShardGateway(Frontend):
                 if self.supervise:
                     await self._supervise(replica)
                 continue
-            try:
-                status, _headers, raw = await self._replica_request(
-                    replica, "GET", "/healthz", b"", {})
-                payload = json.loads(raw.decode("utf-8"))
-                healthy = status == 200 and payload.get("status") == "ok"
-                reason = (f"healthz reported status={status} "
-                          f"state={payload.get('status')!r}")
-            except (ReplicaError, ValueError, UnicodeDecodeError) as exc:
-                healthy = False
-                reason = f"healthz probe failed: {exc}"
+            healthy, reason = await self._check_health(replica)
             if healthy:
-                # A probe's count is authoritative: it also catches a
-                # replica that restarted (and so counts from 0 again).
-                sims = payload.get("simulations_run")
-                if isinstance(sims, int):
-                    replica.simulations_run = sims
                 replica.probe_failures = 0
                 if (time.monotonic() - replica.spawned_at >= self.flap_window
                         and (replica.rapid_deaths
@@ -594,6 +606,52 @@ class ShardGateway(Frontend):
             self._evict(replica, reason)
             if self.supervise:
                 await self._supervise(replica)
+
+    async def _check_health(self, replica: Replica,
+                            timeout: Optional[float] = None
+                            ) -> Tuple[bool, str]:
+        """Probe one replica's ``/healthz``: ``(healthy, reason)``.
+
+        A healthy probe's simulation count is authoritative: it also
+        catches a replica that restarted (and so counts from 0 again).
+        """
+        try:
+            status, _headers, raw = await self._replica_request(
+                replica, "GET", "/healthz", b"", {}, timeout=timeout)
+            payload = json.loads(raw.decode("utf-8"))
+        except (ReplicaError, ValueError, UnicodeDecodeError) as exc:
+            return False, f"healthz probe failed: {exc}"
+        if status != 200 or payload.get("status") != "ok":
+            return False, (f"healthz reported status={status} "
+                           f"state={payload.get('status')!r}")
+        sims = payload.get("simulations_run")
+        if isinstance(sims, int):
+            replica.simulations_run = sims
+        return True, "ok"
+
+    async def _recover_ring(self) -> None:
+        """Probe every evicted replica once; re-admit those that answer.
+
+        Runs when a request finds the ring empty: one failed forward
+        evicts a replica at once, so a burst of network faults can
+        empty the ring between two health rounds.  A probe gets
+        ``connect_timeout`` to connect and as long again for its answer,
+        not ``forward_timeout``.  Concurrent requests wait on the round
+        already running.  A failed probe changes nothing: eviction and
+        respawns stay the health loop's.
+        """
+        if self._recovery is None or self._recovery.done():
+            self._recovery = asyncio.gather(
+                *(self._probe_evicted(replica) for replica in self.replicas
+                  if not replica.healthy),
+                return_exceptions=True)
+        await asyncio.shield(self._recovery)
+
+    async def _probe_evicted(self, replica: Replica) -> None:
+        healthy, _reason = await self._check_health(
+            replica, self.connect_timeout)
+        if healthy:
+            self._readmit(replica)
 
     async def _supervise(self, replica: Replica) -> None:
         """Respawn a dead managed replica: capped backoff + flap detector.
@@ -787,6 +845,49 @@ class ShardGateway(Frontend):
                 self._route_memo.popitem(last=False)
         return plan
 
+    def _memo_answer(self, fingerprint: str,
+                     counters: bool) -> Optional[Dict[str, Any]]:
+        """The point memo's answer for one point, or ``None`` to forward it.
+
+        The answer is the replica's payload with tier ``memo`` and
+        ``coalesced: false``.  Its counters go only to a request that
+        asks for them, and such a request is never answered from an
+        entry that lacks them.
+        """
+        entry = self._point_memo.get(fingerprint)
+        if entry is None or (counters and "counters" not in entry):
+            return None
+        self._point_memo.move_to_end(fingerprint)
+        answer = dict(entry, tier=TIER_MEMO, coalesced=False)
+        if not counters:
+            answer.pop("counters", None)
+        return answer
+
+    def _memo_fill(self, fingerprint: str, point: Dict[str, Any]) -> None:
+        """Keep a replica's error-free answer for ``fingerprint``."""
+        # A replica whose defaults differ from the gateway's names
+        # another fingerprint: its answer is not this key's to keep.
+        if "error" in point or point.get("fingerprint") != fingerprint:
+            return
+        self._point_memo[fingerprint] = point
+        self._point_memo.move_to_end(fingerprint)
+        if len(self._point_memo) > _MAX_POINT_MEMO:
+            self._point_memo.popitem(last=False)
+
+    def _record_memo_hits(self, points: List[Optional[Dict[str, Any]]],
+                          ctx: TraceContext, started: float) -> None:
+        """Count the points the memo answered; span each one when tracing."""
+        hits = [point for point in points if point is not None]
+        self.obs.metrics.add("gateway.memo.hits", len(hits))
+        if self.obs.tracing:
+            dur = time.perf_counter() - started
+            for point in hits:
+                self.obs.tracer.emit(
+                    "span", time.time(), name="gateway.point", dur=dur,
+                    workload=point.get("workload"),
+                    design=point.get("design"), tier=TIER_MEMO,
+                    **ctx.child().span_fields())
+
     def _owner(self, fingerprint: str) -> Replica:
         try:
             return self._by_id[self.ring.lookup(fingerprint)]
@@ -917,6 +1018,8 @@ class ShardGateway(Frontend):
         attempts: int = 0, deadline: Optional[float] = None,
     ) -> Dict[int, Dict[str, Any]]:
         """Group ``indices`` by ring owner and forward the groups."""
+        if not len(self.ring):
+            await self._recover_ring()
         groups: "OrderedDict[str, List[int]]" = OrderedDict()
         for index in indices:
             owner = self._owner(plan.fingerprints[index])
@@ -946,21 +1049,31 @@ class ShardGateway(Frontend):
                         admitted: bool = False) -> Tuple[int, Any]:
         plan = self._plan(body)
         started = time.perf_counter()
-        indices = list(range(len(plan.fingerprints)))
-        owners = {self._owner(fp).id for fp in plan.fingerprints}
+        counters = bool(plan.extras.get("include_counters"))
+        points = [self._memo_answer(fp, counters) for fp in plan.fingerprints]
+        indices = [index for index, point in enumerate(points) if point is None]
         metrics = self.obs.metrics
-        if len(owners) == 1:
-            # Single-owner request (the common case for a sharded hot
-            # stream): one forward, no fan-out.
-            metrics.add("gateway.route.single")
-            replica = self._by_id[next(iter(owners))]
-            result = await self._forward_group(replica, indices, plan, ctx,
-                                               0, deadline)
-        else:
-            metrics.add("gateway.route.split")
-            result = await self._shard_and_forward(indices, plan, ctx,
-                                                   deadline=deadline)
-        points = [result[index] for index in indices]
+        if len(indices) < len(points):
+            self._record_memo_hits(points, ctx, started)
+        if indices:
+            if not len(self.ring):
+                await self._recover_ring()
+            owners = {self._owner(plan.fingerprints[index]).id
+                      for index in indices}
+            if len(owners) == 1:
+                # Single-owner request (the common case for a sharded
+                # hot stream): one forward, no fan-out.
+                metrics.add("gateway.route.single")
+                replica = self._by_id[next(iter(owners))]
+                result = await self._forward_group(replica, indices, plan,
+                                                   ctx, 0, deadline)
+            else:
+                metrics.add("gateway.route.split")
+                result = await self._shard_and_forward(indices, plan, ctx,
+                                                       deadline=deadline)
+            for index in indices:
+                points[index] = result[index]
+                self._memo_fill(plan.fingerprints[index], result[index])
         failures = [
             {"workload": point.get("workload"), "design": point.get("design"),
              "fingerprint": point.get("fingerprint"),
