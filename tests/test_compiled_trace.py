@@ -100,18 +100,24 @@ class TestCoalesceArrays:
             coalesce_arrays([1], [1], 0)
 
 
-def _reference_requests(compiled):
+def _reference_requests(compiled, recorded=None):
     """The dict :class:`Coalescer` run over every instruction's lanes.
 
     Returns the four lists of :meth:`CompiledTrace.coalesced_per_cu`:
     request lines, each instruction's end in them, its flags, and the
-    per-CU instruction bounds.
+    per-CU instruction bounds.  ``recorded`` is ``(lanes, lane_counts,
+    flags, cu_bounds)`` as a builder recorded them (see
+    :func:`_recorded_streams`); without it they are read back from
+    ``compiled`` itself.
     """
+    if recorded is None:
+        recorded = (compiled._lanes.tolist(), compiled._lane_counts.tolist(),
+                    compiled._inst_flags.tolist(),
+                    compiled._cu_bounds.tolist())
+    lanes, lane_counts, flags, cu_bounds = recorded
     coalesce = Coalescer(compiled.line_size).coalesce
-    lanes = compiled._lanes.tolist()
     lines, inst_end, pos = [], [], 0
-    for n_lanes, flag in zip(compiled._lane_counts.tolist(),
-                             compiled._inst_flags.tolist()):
+    for n_lanes, flag in zip(lane_counts, flags):
         addresses = lanes[pos:pos + n_lanes]
         pos += n_lanes
         if not flag & SCRATCH:
@@ -120,8 +126,23 @@ def _reference_requests(compiled):
             assert all(r.is_write == is_write for r in requests)
             lines.extend(r.line_addr for r in requests)
         inst_end.append(len(lines))
-    return (lines, inst_end, compiled._inst_flags.tolist(),
-            compiled._cu_bounds.tolist())
+    return lines, inst_end, list(flags), list(cu_bounds)
+
+
+def _recorded_streams(builder):
+    """A :class:`TraceBuilder`'s per-CU streams, flattened in CU order.
+
+    CUs that recorded nothing are left out, as ``build`` leaves them
+    out; the bounds are each kept CU's first instruction plus the total.
+    """
+    cus = [cu for cu in range(builder.n_cus) if builder._lane_counts[cu]]
+    bounds = [0]
+    for cu in cus:
+        bounds.append(bounds[-1] + len(builder._lane_counts[cu]))
+    return ([a for cu in cus for a in builder._lanes[cu]],
+            [n for cu in cus for n in builder._lane_counts[cu]],
+            [f for cu in cus for f in builder._flags[cu]],
+            bounds)
 
 
 def _request_counts(inst_end):
@@ -139,14 +160,27 @@ def _assert_same_compilation(a, b):
 
 
 class TestCompiledTrace:
-    def test_coalesced_lists_identical_to_fresh(self):
+    def test_coalesced_lists_identical_to_fresh(self, monkeypatch):
+        # The reference comes from what each generator handed its
+        # builder, captured before compiling, so a flag or bound that
+        # compilation gets wrong cannot also be the expected value.
+        recorded = []
+        build = TraceBuilder.build
+
+        def recording_build(builder, *args, **kwargs):
+            recorded.append(_recorded_streams(builder))
+            return build(builder, *args, **kwargs)
+
+        monkeypatch.setattr(TraceBuilder, "build", recording_build)
         assert len(registry.WORKLOADS) == 15
         for name in sorted(registry.WORKLOADS):
+            recorded.clear()
             compiled = registry.load_fresh(name, scale=0.05)
+            assert len(recorded) == 1, name
             compiled.validate_fast()
             lines, inst_end, flags, bounds = compiled.coalesced_per_cu()
             ref_lines, ref_end, ref_flags, ref_bounds = (
-                _reference_requests(compiled))
+                _reference_requests(compiled, recorded[0]))
             assert lines == ref_lines, name
             assert _request_counts(inst_end) == _request_counts(ref_end), name
             assert [f & 1 for f in flags] == [f & 1 for f in ref_flags], name
