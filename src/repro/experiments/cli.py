@@ -76,8 +76,8 @@ def _validate() -> str:
 
 
 #: Subcommands dispatched outside the figure/table registry.
-EXTRA_COMMANDS = ("all", "bench", "chaos", "dashboard", "designs",
-                  "loadtest", "serve", "sweep", "trace", "workloads")
+EXTRA_COMMANDS = ("all", "chaos", "dashboard", "designs", "loadtest",
+                  "serve", "sweep", "trace", "workloads")
 
 
 def _experiment_listing() -> str:
@@ -296,32 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile", action="store_true",
         help="print a wall-clock profile of the experiment pipeline",
-    )
-    bench_group = parser.add_argument_group(
-        "bench options (only with the 'bench' experiment)")
-    bench_group.add_argument(
-        "--bench-out", metavar="PATH", default=None,
-        help="write the benchmark report JSON to PATH (default: "
-             "benchmarks/perf/BENCH_PR8.json)",
-    )
-    bench_group.add_argument(
-        "--bench-repeats", type=int, default=3, metavar="N",
-        help="repeats per point; the best run is reported (default: 3)",
-    )
-    bench_group.add_argument(
-        "--bench-baseline", metavar="PATH", default=None,
-        help="embed the recorded report at PATH as the baseline and report "
-             "speedups against it",
-    )
-    bench_group.add_argument(
-        "--bench-compare", metavar="PATH", default=None,
-        help="fail (exit 1) if total requests/sec regresses more than "
-             "--bench-tolerance below the report recorded at PATH",
-    )
-    bench_group.add_argument(
-        "--bench-tolerance", type=float, default=0.30, metavar="FRAC",
-        help="allowed fractional throughput regression for --bench-compare "
-             "(default: 0.30)",
     )
     sweep_group = parser.add_argument_group(
         "sweep options (only with the 'sweep' experiment)")
@@ -822,25 +796,6 @@ def main(argv=None) -> int:
         except KeyError as exc:
             print(f"repro-experiment: error: {exc.args[0]}", file=sys.stderr)
             return 2
-    if args.experiment == "bench":
-        from repro.experiments import bench
-
-        if args.bench_repeats < 1:
-            print("repro-experiment: error: --bench-repeats must be >= 1",
-                  file=sys.stderr)
-            return 2
-        return bench.main(
-            scale=args.scale if args.scale is not None else 0.1,
-            repeats=args.bench_repeats,
-            out=(args.bench_out if args.bench_out is not None
-                 else "benchmarks/perf/BENCH_PR8.json"),
-            baseline_path=args.bench_baseline,
-            compare_path=args.bench_compare,
-            tolerance=args.bench_tolerance,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            trace_cache=trace_cache,
-        )
     if (args.experiment not in EXPERIMENTS
             and args.experiment not in ("all", "sweep")):
         print(f"repro-experiment: error: unknown experiment "

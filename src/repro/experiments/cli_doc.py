@@ -43,8 +43,6 @@ EXPERIMENT_DESCRIPTIONS: Dict[str, str] = {
     "validate": "Every headline paper claim vs the measured value, "
                 "with acceptance bands.",
     "all": "Every experiment above, in name order.",
-    "bench": "Host-throughput microbenchmark of the simulation hot path "
-             "(see the bench options below).",
     "chaos": "Deterministic VM-event fault injection under invariant "
              "audit (see the chaos options below).",
     "serve": "Long-running simulation service over HTTP: batching, "

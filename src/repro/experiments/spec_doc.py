@@ -295,7 +295,7 @@ def render_spec_doc() -> str:
         "`--checkpoint`/retry support), `POST /v1/sweep` submits it as a "
         "job (the gateway shards its points across replicas; only a "
         "plain `serve --jobs-journal PATH` journals it before the ack, "
-        "so it survives a restart), and the figure drivers, `bench`, and "
+        "so it survives a restart), and the figure drivers and "
         "`chaos` build their own point enumerations as specs "
         "internally.  Validation "
         "is strict: every rejected spec raises a typed "

@@ -130,9 +130,18 @@ _MAX_POOL_PER_REPLICA = 32
 #: Largest request body the route memo will cache a plan for.
 _MAX_MEMO_BODY = 64 * 1024
 
+#: Route plans the route memo holds before the least recently used one
+#: is dropped.
+_MAX_ROUTE_MEMO = 1024
+
 #: Point answers the point memo holds before the least recently used
 #: one is dropped.
 _MAX_POINT_MEMO = 4096
+
+#: Each health-probe interval is drawn from ``health_interval`` ± this
+#: fraction, so N gateways (or one gateway's many probes) do not fall
+#: into lockstep and thundering-herd the replicas at a fixed cadence.
+_HEALTH_JITTER = 0.2
 
 
 class HashRing:
@@ -429,7 +438,6 @@ class ShardGateway(Frontend):
         health_interval: float = 0.5,
         connect_timeout: float = 5.0,
         forward_timeout: float = 600.0,
-        route_memo_size: int = 1024,
         obs: Optional[Observability] = None,
         supervise: bool = False,
         probe_failure_threshold: int = 3,
@@ -437,7 +445,6 @@ class ShardGateway(Frontend):
         respawn_backoff_max: float = 30.0,
         flap_window: float = 5.0,
         flap_threshold: int = 3,
-        health_jitter: float = 0.2,
     ) -> None:
         if not replicas:
             raise ValueError("gateway needs at least one replica")
@@ -463,7 +470,6 @@ class ShardGateway(Frontend):
         self.respawn_backoff_max = respawn_backoff_max
         self.flap_window = flap_window
         self.flap_threshold = flap_threshold
-        self.health_jitter = health_jitter
         self._health_rng = random.Random(
             f"gateway-health:{len(self.replicas)}:{vnodes}")
         for replica in self.replicas:
@@ -476,7 +482,6 @@ class ShardGateway(Frontend):
         self._check_invariants = check_invariants
 
         self._route_memo: "OrderedDict[bytes, _RoutePlan]" = OrderedDict()
-        self._route_memo_size = route_memo_size
         #: fingerprint → the point payload a replica answered with.
         self._point_memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._health_task: Optional[asyncio.Task] = None
@@ -560,10 +565,7 @@ class ShardGateway(Frontend):
 
     async def _health_loop(self) -> None:
         while True:
-            # ±health_jitter: N gateways (or one gateway's many probes)
-            # must not fall into lockstep and thundering-herd the
-            # replicas at a fixed cadence.
-            jitter = 1.0 + self.health_jitter * (
+            jitter = 1.0 + _HEALTH_JITTER * (
                 2.0 * self._health_rng.random() - 1.0)
             await asyncio.sleep(self.health_interval * max(0.0, jitter))
             if self._draining:
@@ -841,7 +843,7 @@ class ShardGateway(Frontend):
         self.obs.metrics.add("gateway.route_memo.misses")
         if len(body) <= _MAX_MEMO_BODY:
             self._route_memo[body] = plan
-            while len(self._route_memo) > self._route_memo_size:
+            while len(self._route_memo) > _MAX_ROUTE_MEMO:
                 self._route_memo.popitem(last=False)
         return plan
 
@@ -1017,13 +1019,21 @@ class ShardGateway(Frontend):
         self, indices: Sequence[int], plan: _RoutePlan, ctx: TraceContext,
         attempts: int = 0, deadline: Optional[float] = None,
     ) -> Dict[int, Dict[str, Any]]:
-        """Group ``indices`` by ring owner and forward the groups."""
+        """Group ``indices`` by ring owner and forward the groups.
+
+        The first routing of a request (``attempts == 0``; hedges route
+        again with more) counts as ``gateway.route.single`` when one
+        owner gets every point, else ``gateway.route.split``.
+        """
         if not len(self.ring):
             await self._recover_ring()
         groups: "OrderedDict[str, List[int]]" = OrderedDict()
         for index in indices:
             owner = self._owner(plan.fingerprints[index])
             groups.setdefault(owner.id, []).append(index)
+        if attempts == 0:
+            self.obs.metrics.add("gateway.route.single" if len(groups) == 1
+                                 else "gateway.route.split")
         results = await asyncio.gather(*(
             self._forward_group(self._by_id[owner_id], group, plan, ctx,
                                 attempts, deadline)
@@ -1052,25 +1062,11 @@ class ShardGateway(Frontend):
         counters = bool(plan.extras.get("include_counters"))
         points = [self._memo_answer(fp, counters) for fp in plan.fingerprints]
         indices = [index for index, point in enumerate(points) if point is None]
-        metrics = self.obs.metrics
         if len(indices) < len(points):
             self._record_memo_hits(points, ctx, started)
         if indices:
-            if not len(self.ring):
-                await self._recover_ring()
-            owners = {self._owner(plan.fingerprints[index]).id
-                      for index in indices}
-            if len(owners) == 1:
-                # Single-owner request (the common case for a sharded
-                # hot stream): one forward, no fan-out.
-                metrics.add("gateway.route.single")
-                replica = self._by_id[next(iter(owners))]
-                result = await self._forward_group(replica, indices, plan,
-                                                   ctx, 0, deadline)
-            else:
-                metrics.add("gateway.route.split")
-                result = await self._shard_and_forward(indices, plan, ctx,
-                                                       deadline=deadline)
+            result = await self._shard_and_forward(indices, plan, ctx,
+                                                   deadline=deadline)
             for index in indices:
                 points[index] = result[index]
                 self._memo_fill(plan.fingerprints[index], result[index])

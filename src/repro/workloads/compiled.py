@@ -14,7 +14,7 @@ on any access path.  Generation — *running the algorithm*, BFS
 over a generated graph, Floyd-Warshall over a matrix, … — can cost as
 much as simulating the result, so :class:`TraceStore` persists
 compilations as plain ``.npy`` files that later processes **mmap
-read-only** instead of regenerating: a warm ``registry.load``, a bench
+read-only** instead of regenerating: a warm ``registry.load``, a
 rerun, and every ``run_many`` pool worker then share one on-disk
 compilation.
 
@@ -461,8 +461,8 @@ def load_compiled(directory: Union[str, Path]) -> Optional[CompiledTrace]:
 class TraceStore:
     """A directory of compiled traces keyed by (workload, scale, seed).
 
-    ``hits``/``misses``/``stores`` count this process's traffic; the
-    bench harness reads them to label each point's trace stage.
+    ``hits``/``misses``/``stores`` count this process's traffic;
+    :func:`~repro.workloads.registry.trace_cache_stats` reports them.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:

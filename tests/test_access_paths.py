@@ -88,14 +88,10 @@ class _HypothesisPicker:
         return self._draw(st.integers(lo, hi))
 
 
-def draw_case(pick, name: str = "case", kind=None, l2_banks=None) -> dict:
-    """One JSON-able case: config, hierarchy, layout, trace, faults.
-
-    ``kind`` and ``l2_banks``, when given, are fixed instead of drawn.
-    """
-    n_cus = pick.randint(1, 4)
-    config = {
-        "n_cus": n_cus,
+def draw_config(pick, l2_banks=None) -> dict:
+    """A case's SoC config; ``l2_banks``, when given, is fixed instead of drawn."""
+    return {
+        "n_cus": pick.randint(1, 4),
         "l1_sets": pick.choice((1, 2, 4)),
         "l1_ways": pick.randint(1, 8),
         "l2_sets": pick.choice((1, 2, 4, 8)),
@@ -109,6 +105,15 @@ def draw_case(pick, name: str = "case", kind=None, l2_banks=None) -> dict:
         "fbt_entries": pick.choice((4, 8, 64)),
         "cu_window": pick.choice((1, 4, 64)),
     }
+
+
+def draw_case(pick, name: str = "case", kind=None, l2_banks=None) -> dict:
+    """One JSON-able case: config, hierarchy, layout, trace, faults.
+
+    ``kind`` and ``l2_banks``, when given, are fixed instead of drawn.
+    """
+    config = draw_config(pick, l2_banks)
+    n_cus = config["n_cus"]
     layout = {
         "small_pages": pick.randint(1, 4),
         "large": pick.choice((False, True)),
@@ -408,6 +413,50 @@ def assert_paths_agree(case: dict) -> dict:
 @example(case=COUNTER_FBT_HIT_BIT_VECTOR)
 def test_observability_never_changes_the_outcome(case):
     assert_paths_agree(case)
+
+
+# -- metamorphic: physical designs filter privately ----------------------
+
+#: A physical design's per-CU TLB and L1 see only their CU's requests,
+#: in program order (write-through no-allocate L1, no back-invalidation,
+#: TLB fills at call time), so the shared side cannot move these.
+PRIVATE_COUNTERS = ("tlb.accesses", "tlb.misses", "tlb.miss_l1_hit",
+                    "l1.hits", "l1.misses")
+#: The shared side of a case's SoC, and the CU window that paces it.
+SHARED_KNOBS = ("iommu_entries", "iommu_banks", "bank_select",
+                "iommu_bandwidth", "l2_sets", "l2_ways", "l2_banks",
+                "cu_window")
+
+
+@st.composite
+def shared_side_redraws(draw):
+    """A fault-free physical case and three copies with the shared side redrawn."""
+    pick = _HypothesisPicker(draw)
+    case = draw_case(pick, kind="physical")
+    case["faults"] = []
+    variants = []
+    for _ in range(3):
+        shared = draw_config(pick)
+        variant = json.loads(json.dumps(case))
+        variant["config"].update({knob: shared[knob] for knob in SHARED_KNOBS})
+        variants.append(variant)
+    return case, variants
+
+
+def _private_counters(case: dict) -> dict:
+    counters = run_case(case, "none")["counters"]
+    return {name: counters.get(name, 0) for name in PRIVATE_COUNTERS}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(drawn=shared_side_redraws())
+def test_physical_designs_filter_privately(drawn):
+    case, variants = drawn
+    reference = _private_counters(case)
+    for variant in variants:
+        assert _private_counters(variant) == reference, json.dumps(variant)
 
 
 @pytest.mark.parametrize("l2_banks", L2_BANKS)

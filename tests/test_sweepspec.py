@@ -3,8 +3,8 @@
 The declarative sweep plan must (a) reject every malformed document
 with a *typed* error and a precise message, (b) fingerprint by content
 — not key order, not the label — and (c) enumerate bit-identically to
-the bespoke loops it replaced in the fig4 driver, ``bench``, and the
-chaos harness.
+the bespoke loops it replaced in the fig4 driver and the chaos harness,
+and resolve an explicit point list in order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.experiments import chaos
-from repro.experiments.bench import DEFAULT_POINTS
 from repro.experiments.common import ResultCache
 from repro.experiments.sweepspec import (
     BadFieldError,
@@ -35,6 +34,7 @@ from repro.system.designs import (
     BASELINE_16K,
     IDEAL_MMU,
     PRESET_DESIGNS,
+    VC_WITH_OPT,
     design_from_dict,
     design_to_dict,
     design_slug,
@@ -194,13 +194,17 @@ def test_fig4_grid_matches_hand_enumeration():
         assert dict(ours.counters) == dict(theirs.counters)
 
 
-def test_bench_points_enumerate_through_spec():
-    spec = SweepSpec.explicit(
-        [(workload, design) for _figure, workload, design
-         in DEFAULT_POINTS], name="bench")
+#: An explicit point list across figures: bfs under the three Figure 4
+#: baselines and one Figure 9 virtual-cache design.
+HOT_PATH_POINTS = (("bfs", IDEAL_MMU), ("bfs", BASELINE_512),
+                   ("bfs", BASELINE_16K), ("bfs", VC_WITH_OPT))
+
+
+def test_explicit_points_resolve_in_order():
+    spec = SweepSpec.explicit(list(HOT_PATH_POINTS), name="hot-path")
     resolved = spec.resolved_points()
     assert [(w, d.name) for w, d, _t in resolved] == \
-        [(w, d.name) for _f, w, d in DEFAULT_POINTS]
+        [(w, d.name) for w, d in HOT_PATH_POINTS]
     assert all(t is False for _w, _d, t in resolved)
 
 
