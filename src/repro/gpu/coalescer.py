@@ -99,17 +99,16 @@ def coalesce_arrays(lanes, lane_counts, line_size: int = DEFAULT_LINE_SIZE):
 
     ``lanes`` concatenates every instruction's lane addresses;
     ``lane_counts[i]`` says how many of them belong to instruction
-    ``i``.  Returns NumPy arrays ``(req_line, req_lanes,
-    inst_req_counts)`` — the coalesced line addresses and their lane
-    counts, concatenated in instruction order, plus the number of
-    requests each instruction produced.
+    ``i``.  Returns NumPy arrays ``(req_line, inst_req_counts)`` — the
+    coalesced line addresses, concatenated in instruction order, and
+    the number of requests each instruction produced.
 
-    Order and counts match :meth:`Coalescer.coalesce` exactly (distinct
-    lines in first-appearance order, each annotated with the number of
-    lanes it serves): per-instruction dict insertion order is the order
-    of each line's first lane, which the group-boundary construction
-    below reproduces with two ``lexsort`` passes instead of one Python
-    dict per instruction.
+    Order matches :meth:`Coalescer.coalesce` exactly (distinct lines in
+    first-appearance order): a stable sort on (instruction, line) heads
+    each request's run of lanes with its first-appearing lane, and
+    sorting those heads by lane index restores first-appearance order,
+    because the lanes arrive in instruction order.  No Python dict is
+    built per instruction.
     """
     import numpy as np
 
@@ -123,29 +122,16 @@ def coalesce_arrays(lanes, lane_counts, line_size: int = DEFAULT_LINE_SIZE):
             f"lane array holds {lanes.size} addresses but lane_counts "
             f"claims {int(lane_counts.sum())}")
     if lanes.size == 0:
-        return (np.zeros(0, np.int64), np.zeros(0, np.int64),
-                np.zeros(n_insts, np.int64))
+        return np.zeros(0, np.int64), np.zeros(n_insts, np.int64)
     inst_id = np.repeat(np.arange(n_insts, dtype=np.int64), lane_counts)
     lines = lanes // line_size
-    lane_idx = np.arange(lanes.size, dtype=np.int64)
-    # Sort lanes by (instruction, line, arrival); each (instruction,
-    # line) run is then one coalesced request whose first element is
-    # the line's first-appearing lane.
-    order = np.lexsort((lane_idx, lines, inst_id))
+    order = np.lexsort((lines, inst_id))  # stable: ties keep lane order
     s_inst = inst_id[order]
     s_line = lines[order]
-    s_idx = lane_idx[order]
-    boundary = np.empty(lanes.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (s_inst[1:] != s_inst[:-1]) | (s_line[1:] != s_line[:-1])
-    starts = np.flatnonzero(boundary)
-    group_counts = np.diff(np.append(starts, lanes.size))
-    # Restore first-appearance order within each instruction by sorting
-    # the groups on (instruction, first lane arrival).
-    first_arrival = s_idx[starts]
-    order2 = np.lexsort((first_arrival, s_inst[starts]))
-    req_line = s_line[starts][order2]
-    req_lanes = group_counts[order2]
+    head = np.empty(lanes.size, dtype=bool)
+    head[0] = True
+    head[1:] = (s_inst[1:] != s_inst[:-1]) | (s_line[1:] != s_line[:-1])
+    first = np.sort(order[head])
     inst_req_counts = np.bincount(
-        s_inst[starts], minlength=n_insts).astype(np.int64)
-    return req_line, req_lanes, inst_req_counts
+        inst_id[first], minlength=n_insts).astype(np.int64)
+    return lines[first], inst_req_counts

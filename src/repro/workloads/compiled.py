@@ -2,13 +2,16 @@
 
 A :class:`CompiledTrace` is the one trace type: what every workload
 generator returns, built by :class:`~repro.workloads.device.TraceBuilder`
-or :func:`compile_arrays`.  Structure-of-arrays NumPy containers hold
-each instruction's lane addresses and flags, plus its coalesced line
-requests, computed once for the whole trace in one vectorized pass
-(:func:`~repro.gpu.coalescer.coalesce_arrays`); the dict
-:class:`~repro.gpu.coalescer.Coalescer` survives only as the reference
-the tests check that pass against.  :func:`~repro.system.run.simulate`
-replays the request arrays themselves, as plain lists
+or :func:`compile_arrays`.  Four structure-of-arrays NumPy containers
+hold each instruction's flags and its coalesced line requests, computed
+once for the whole trace in one vectorized pass
+(:func:`~repro.gpu.coalescer.coalesce_arrays`).  Lane addresses are
+only the coalescer's input: as in the modelled GPU, where the coalescer
+sits in front of the per-CU TLB, nothing downstream of it sees a lane,
+so a trace keeps none.  The dict :class:`~repro.gpu.coalescer.Coalescer`
+survives only as the reference the tests check that pass against.
+:func:`~repro.system.run.simulate` replays the request arrays
+themselves, as plain lists
 (:meth:`CompiledTrace.coalesced_per_cu`): no request object is built
 on any access path.  Generation — *running the algorithm*, BFS
 over a generated graph, Floyd-Warshall over a matrix, … — can cost as
@@ -21,15 +24,15 @@ compilation.
 The on-disk layout is one directory per compilation key
 ``(workload, scale, seed, line_size)`` under ``<cache-dir>/traces/``::
 
-    <root>/bfs-s0.1-seeddefault-ls64-v1/
+    <root>/bfs-s0.1-seeddefault-ls128-v2/
         meta.json            # identity, counts, address-space log
         cu_bounds.npy        # (n_cus+1,) instruction offsets per CU
         inst_flags.npy       # (n_insts,) bit0 = write, bit1 = scratchpad
         inst_req_counts.npy  # (n_insts,) coalesced requests per instruction
         req_line.npy         # (n_reqs,) coalesced line addresses
-        req_lanes.npy        # (n_reqs,) lanes served per request
-        lane_counts.npy      # (n_insts,) lanes per instruction
-        lanes.npy            # (n_lanes,) raw lane addresses
+
+The key carries the format version, so a process never opens a
+directory written in another format.
 
 Directories are written to a temp name and renamed into place, so
 concurrent writers are safe; a corrupt or truncated compilation is
@@ -69,7 +72,7 @@ __all__ = [
     "store_key",
 ]
 
-COMPILED_FORMAT_VERSION = 1
+COMPILED_FORMAT_VERSION = 2
 
 #: The array files every compilation directory must contain.
 _ARRAY_FILES = (
@@ -77,9 +80,6 @@ _ARRAY_FILES = (
     ("inst_flags", np.int8),
     ("inst_req_counts", np.int64),
     ("req_line", np.int64),
-    ("req_lanes", np.int64),
-    ("lane_counts", np.int64),
-    ("lanes", np.int64),
 )
 
 
@@ -112,9 +112,6 @@ class CompiledTrace:
         inst_flags,
         inst_req_counts,
         req_line,
-        req_lanes,
-        lane_counts,
-        lanes,
     ) -> None:
         self.name = name
         self.issue_interval = issue_interval
@@ -125,9 +122,6 @@ class CompiledTrace:
         self._inst_flags = inst_flags
         self._inst_req_counts = inst_req_counts
         self._req_line = req_line
-        self._req_lanes = req_lanes
-        self._lane_counts = lane_counts
-        self._lanes = lanes
 
     # -- the simulate-facing surface --------------------------------------
     @property
@@ -193,45 +187,33 @@ class CompiledTrace:
                                        f"instruction arrays")
         if bool(np.any(np.diff(bounds) < 0)):
             raise TraceValidationError(f"{where}: CU bounds not monotonic")
-        for label, arr, n in (
-            ("inst_req_counts", self._inst_req_counts, self.n_instructions),
-            ("lane_counts", self._lane_counts, self.n_instructions),
-        ):
-            if len(arr) != n:
-                raise TraceValidationError(
-                    f"{where}: {label} has {len(arr)} rows for {n} "
-                    f"instructions")
+        counts = self._inst_req_counts
+        if len(counts) != self.n_instructions:
+            raise TraceValidationError(
+                f"{where}: inst_req_counts has {len(counts)} rows for "
+                f"{self.n_instructions} instructions")
         if bool(np.any(np.bitwise_and(self._inst_flags, ~np.int8(3)))):
             raise TraceValidationError(
                 f"{where}: unknown instruction flag bits (only is_write=1 "
                 f"and scratchpad=2 are defined)")
-        if self._lane_counts.size and int(self._lane_counts.min()) <= 0:
-            raise TraceValidationError(
-                f"{where}: instruction with non-positive lane count")
-        if int(self._lane_counts.sum()) != self._lanes.size:
-            raise TraceValidationError(
-                f"{where}: lane array holds {self._lanes.size} addresses "
-                f"but instructions claim {int(self._lane_counts.sum())}")
-        if self._lanes.size and int(self._lanes.min()) < 0:
-            raise TraceValidationError(
-                f"{where}: negative lane address {int(self._lanes.min())}")
         scratch = (self._inst_flags & 2) != 0
-        if bool(np.any(self._inst_req_counts[scratch])):
+        if bool(np.any(counts[scratch])):
             raise TraceValidationError(
                 f"{where}: scratchpad instruction with coalesced requests")
-        if self._inst_req_counts.size and (
-                int(self._inst_req_counts.min()) < 0):
+        if counts.size and int(counts.min()) < 0:
             raise TraceValidationError(
                 f"{where}: negative request count")
-        n_reqs = int(self._inst_req_counts.sum())
-        if n_reqs != self._req_line.size or n_reqs != self._req_lanes.size:
+        n_reqs = int(counts.sum())
+        if n_reqs != self._req_line.size:
             raise TraceValidationError(
-                f"{where}: request arrays hold {self._req_line.size} lines / "
-                f"{self._req_lanes.size} lane counts but instructions claim "
-                f"{n_reqs}")
-        if bool(np.any(~scratch & (self._inst_req_counts == 0))):
+                f"{where}: req_line holds {self._req_line.size} lines but "
+                f"instructions claim {n_reqs}")
+        if bool(np.any(~scratch & (counts == 0))):
             raise TraceValidationError(
                 f"{where}: memory instruction with zero coalesced requests")
+        if self._req_line.size and int(self._req_line.min()) < 0:
+            raise TraceValidationError(
+                f"{where}: negative line address {int(self._req_line.min())}")
 
     def __repr__(self) -> str:
         return (f"CompiledTrace(name={self.name!r}, n_cus={self.n_cus}, "
@@ -251,24 +233,20 @@ def compile_arrays(name: str, issue_interval: float,
     instruction offset where each CU's stream starts, plus the total.
     The coalesced request arrays come from a single vectorized
     :func:`~repro.gpu.coalescer.coalesce_arrays` call over every
-    instruction at once.  Scratchpad instructions contribute zero
-    requests (they never reach the memory hierarchy).
+    instruction at once; the lanes themselves are not kept.  Scratchpad
+    instructions contribute zero requests (they never reach the memory
+    hierarchy).
     """
     if address_space is None:
         raise ValueError("only traces with an address space can be compiled")
-    lanes = np.asarray(lanes, dtype=np.int64)
-    lane_counts = np.asarray(lane_counts, dtype=np.int64)
     flags = np.asarray(flags, dtype=np.int8)
-    req_line, req_lanes, counts = coalesce_arrays(lanes, lane_counts,
-                                                  line_size)
+    req_line, counts = coalesce_arrays(lanes, lane_counts, line_size)
     scratch = (flags & 2) != 0
     if bool(scratch.any()):
         # Drop scratchpad instructions' requests: they coalesce to None.
         inst_of_req = np.repeat(
             np.arange(len(counts), dtype=np.int64), counts)
-        keep = ~scratch[inst_of_req]
-        req_line = req_line[keep]
-        req_lanes = req_lanes[keep]
+        req_line = req_line[~scratch[inst_of_req]]
         counts = np.where(scratch, 0, counts)
     return CompiledTrace(
         name=name,
@@ -280,9 +258,6 @@ def compile_arrays(name: str, issue_interval: float,
         inst_flags=flags,
         inst_req_counts=np.asarray(counts, dtype=np.int64),
         req_line=np.asarray(req_line, dtype=np.int64),
-        req_lanes=np.asarray(req_lanes, dtype=np.int64),
-        lane_counts=lane_counts,
-        lanes=lanes,
     )
 
 
@@ -364,9 +339,6 @@ def save_compiled(compiled: CompiledTrace, directory: Union[str, Path],
             "inst_flags": compiled._inst_flags,
             "inst_req_counts": compiled._inst_req_counts,
             "req_line": compiled._req_line,
-            "req_lanes": compiled._req_lanes,
-            "lane_counts": compiled._lane_counts,
-            "lanes": compiled._lanes,
         }
         for stem, dtype in _ARRAY_FILES:
             np.save(tmp / f"{stem}.npy",
@@ -385,7 +357,6 @@ def save_compiled(compiled: CompiledTrace, directory: Union[str, Path],
                 "instructions": compiled.n_instructions,
                 "cus": compiled.n_cus,
                 "requests": int(compiled._req_line.size),
-                "lanes": int(compiled._lanes.size),
             },
         }
         (tmp / "meta.json").write_text(json.dumps(meta, indent=1,
@@ -429,8 +400,7 @@ def load_compiled(directory: Union[str, Path]) -> Optional[CompiledTrace]:
         counts = meta["counts"]
         if (len(arrays["inst_flags"]) != counts["instructions"]
                 or len(arrays["cu_bounds"]) != counts["cus"] + 1
-                or len(arrays["req_line"]) != counts["requests"]
-                or len(arrays["lanes"]) != counts["lanes"]):
+                or len(arrays["req_line"]) != counts["requests"]):
             raise ValueError("array lengths disagree with recorded counts")
         space = rebuild_address_space(meta["asid"], meta["mappings"])
         compiled = CompiledTrace(
@@ -443,9 +413,6 @@ def load_compiled(directory: Union[str, Path]) -> Optional[CompiledTrace]:
             inst_flags=arrays["inst_flags"],
             inst_req_counts=arrays["inst_req_counts"],
             req_line=arrays["req_line"],
-            req_lanes=arrays["req_lanes"],
-            lane_counts=arrays["lane_counts"],
-            lanes=arrays["lanes"],
         )
         compiled.validate_fast()
         return compiled

@@ -30,7 +30,6 @@ __all__ = [
     "DeviceArray",
     "LANES",
     "TraceBuilder",
-    "strided_lane_addresses",
     "warp_chunks",
 ]
 
@@ -78,10 +77,6 @@ class DeviceArray:
         return (np.asarray(indices, dtype=np.int64) * self.element_size
                 + self.mapping.base_va).tolist()
 
-    def row_addr(self, row: int, col: int, n_cols: int) -> int:
-        """Address of element (row, col) of a row-major 2-D view."""
-        return self.addr(row * n_cols + col)
-
 
 class TraceBuilder:
     """Records per-CU memory-instruction streams as flat arrays.
@@ -91,7 +86,8 @@ class TraceBuilder:
     write, bit1 = scratchpad) — so recording builds no per-instruction
     object.  :meth:`build` compiles them into a
     :class:`~repro.workloads.compiled.CompiledTrace`, coalescing every
-    instruction in one vectorized pass.
+    instruction in one vectorized pass; the trace keeps the coalesced
+    requests, not the lanes.
     """
 
     def __init__(self, n_cus: int = 16, lanes: int = LANES) -> None:
@@ -182,11 +178,3 @@ def warp_chunks(
             emitted += 1
         warp += 1
 
-
-def strided_lane_addresses(
-    array: DeviceArray, start_index: int, count: int, stride: int = 1
-) -> List[int]:
-    """Lane addresses for ``array[start + k*stride]``, k in [0, count)."""
-    base = array.base_va + start_index * array.element_size
-    step = stride * array.element_size
-    return [base + k * step for k in range(count)]

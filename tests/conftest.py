@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.cache import CacheConfig
 from repro.memsys.iommu import IOMMUConfig
 from repro.system.config import SoCConfig
+from repro.workloads import registry
 from repro.workloads.compiled import CompiledTrace, compile_arrays
+from repro.workloads.device import TraceBuilder
 
 
 @pytest.fixture
@@ -64,3 +68,49 @@ def compile_streams(
         cu_bounds.append(len(flags))
     return compile_arrays(name, issue_interval, dict(metadata or {}), space,
                           lanes, lane_counts, flags, cu_bounds)
+
+
+def recorded_streams(builder: TraceBuilder):
+    """A :class:`TraceBuilder`'s per-CU streams, flattened in CU order.
+
+    Returns the lists ``(lanes, lane_counts, flags, cu_bounds)`` that
+    ``build`` hands :func:`compile_arrays`.  CUs that recorded nothing
+    are left out, as ``build`` leaves them out; the bounds are each kept
+    CU's first instruction plus the total.
+    """
+    cus = [cu for cu in range(builder.n_cus) if builder._lane_counts[cu]]
+    bounds = [0]
+    for cu in cus:
+        bounds.append(bounds[-1] + len(builder._lane_counts[cu]))
+    return ([a for cu in cus for a in builder._lanes[cu]],
+            [n for cu in cus for n in builder._lane_counts[cu]],
+            [f for cu in cus for f in builder._flags[cu]],
+            bounds)
+
+
+@contextlib.contextmanager
+def recording_builds():
+    """Capture every ``TraceBuilder.build`` call made inside the block.
+
+    Yields a list that receives each builder's :func:`recorded_streams`,
+    in build order, before it compiles: a trace keeps no lane
+    addresses, so the streams are the only record of them.
+    """
+    recorded = []
+    build = TraceBuilder.build
+
+    def recording_build(builder, *args, **kwargs):
+        recorded.append(recorded_streams(builder))
+        return build(builder, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TraceBuilder, "build", recording_build)
+        yield recorded
+
+
+def load_recorded(name: str, scale: float):
+    """``registry.load_fresh(name, scale)`` plus its builder's streams."""
+    with recording_builds() as recorded:
+        trace = registry.load_fresh(name, scale=scale)
+    assert len(recorded) == 1, name
+    return trace, recorded[0]

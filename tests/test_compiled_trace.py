@@ -38,7 +38,13 @@ from repro.workloads.compiled import (
 )
 from repro.workloads.device import TraceBuilder
 
-from tests.conftest import SCRATCH, WRITE, compile_streams
+from tests.conftest import (
+    SCRATCH,
+    WRITE,
+    compile_streams,
+    load_recorded,
+    recorded_streams,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -72,48 +78,40 @@ class TestCoalesceArrays:
         for line_size in (32, 64, 128):
             coalescer = Coalescer(line_size=line_size)
             reference = [coalescer.coalesce(inst) for inst in insts]
-            req_line, req_lanes, per_inst = coalesce_arrays(
-                lanes, counts, line_size)
+            req_line, per_inst = coalesce_arrays(lanes, counts, line_size)
             pos = 0
             for i, reqs in enumerate(reference):
                 assert per_inst[i] == len(reqs)
                 for r in reqs:
                     assert req_line[pos] == r.line_addr
-                    assert req_lanes[pos] == r.n_lanes
                     pos += 1
             assert pos == len(req_line)
 
     def test_first_appearance_order_preserved(self):
         # Lanes revisit line 0 after line 5: request order must be 5, 0.
-        req_line, req_lanes, per_inst = coalesce_arrays(
+        req_line, per_inst = coalesce_arrays(
             [5 * 64, 0, 5 * 64 + 4, 8], [4], 64)
         assert list(req_line) == [5, 0]
-        assert list(req_lanes) == [2, 2]
         assert list(per_inst) == [2]
 
     def test_empty_and_mismatched_inputs(self):
-        req_line, req_lanes, per_inst = coalesce_arrays([], [], 64)
-        assert len(req_line) == 0 and len(req_lanes) == 0
+        req_line, per_inst = coalesce_arrays([], [], 64)
+        assert len(req_line) == 0
         with pytest.raises(ValueError):
             coalesce_arrays([1, 2, 3], [2], 64)
         with pytest.raises(ValueError):
             coalesce_arrays([1], [1], 0)
 
 
-def _reference_requests(compiled, recorded=None):
+def _reference_requests(compiled, recorded):
     """The dict :class:`Coalescer` run over every instruction's lanes.
 
     Returns the four lists of :meth:`CompiledTrace.coalesced_per_cu`:
     request lines, each instruction's end in them, its flags, and the
     per-CU instruction bounds.  ``recorded`` is ``(lanes, lane_counts,
     flags, cu_bounds)`` as a builder recorded them (see
-    :func:`_recorded_streams`); without it they are read back from
-    ``compiled`` itself.
+    :func:`tests.conftest.recorded_streams`).
     """
-    if recorded is None:
-        recorded = (compiled._lanes.tolist(), compiled._lane_counts.tolist(),
-                    compiled._inst_flags.tolist(),
-                    compiled._cu_bounds.tolist())
     lanes, lane_counts, flags, cu_bounds = recorded
     coalesce = Coalescer(compiled.line_size).coalesce
     lines, inst_end, pos = [], [], 0
@@ -127,22 +125,6 @@ def _reference_requests(compiled, recorded=None):
             lines.extend(r.line_addr for r in requests)
         inst_end.append(len(lines))
     return lines, inst_end, list(flags), list(cu_bounds)
-
-
-def _recorded_streams(builder):
-    """A :class:`TraceBuilder`'s per-CU streams, flattened in CU order.
-
-    CUs that recorded nothing are left out, as ``build`` leaves them
-    out; the bounds are each kept CU's first instruction plus the total.
-    """
-    cus = [cu for cu in range(builder.n_cus) if builder._lane_counts[cu]]
-    bounds = [0]
-    for cu in cus:
-        bounds.append(bounds[-1] + len(builder._lane_counts[cu]))
-    return ([a for cu in cus for a in builder._lanes[cu]],
-            [n for cu in cus for n in builder._lane_counts[cu]],
-            [f for cu in cus for f in builder._flags[cu]],
-            bounds)
 
 
 def _request_counts(inst_end):
@@ -160,27 +142,17 @@ def _assert_same_compilation(a, b):
 
 
 class TestCompiledTrace:
-    def test_coalesced_lists_identical_to_fresh(self, monkeypatch):
+    def test_coalesced_lists_identical_to_fresh(self):
         # The reference comes from what each generator handed its
         # builder, captured before compiling, so a flag or bound that
         # compilation gets wrong cannot also be the expected value.
-        recorded = []
-        build = TraceBuilder.build
-
-        def recording_build(builder, *args, **kwargs):
-            recorded.append(_recorded_streams(builder))
-            return build(builder, *args, **kwargs)
-
-        monkeypatch.setattr(TraceBuilder, "build", recording_build)
         assert len(registry.WORKLOADS) == 15
         for name in sorted(registry.WORKLOADS):
-            recorded.clear()
-            compiled = registry.load_fresh(name, scale=0.05)
-            assert len(recorded) == 1, name
+            compiled, recorded = load_recorded(name, 0.05)
             compiled.validate_fast()
             lines, inst_end, flags, bounds = compiled.coalesced_per_cu()
             ref_lines, ref_end, ref_flags, ref_bounds = (
-                _reference_requests(compiled, recorded[0]))
+                _reference_requests(compiled, recorded))
             assert lines == ref_lines, name
             assert _request_counts(inst_end) == _request_counts(ref_end), name
             assert [f & 1 for f in flags] == [f & 1 for f in ref_flags], name
@@ -188,9 +160,10 @@ class TestCompiledTrace:
             assert bounds == ref_bounds, name
 
     def test_simulate_surface(self):
-        compiled = _small_trace()
+        compiled, (_lanes, lane_counts, _flags, _bounds) = load_recorded(
+            "bfs", 0.05)
         assert compiled.n_cus == len(compiled._cu_bounds) - 1 == 16
-        assert compiled.n_instructions == len(compiled._lane_counts) > 0
+        assert compiled.n_instructions == len(lane_counts) > 0
         assert compiled.issue_interval > 0
         assert compiled.name == "bfs"
         assert compiled.address_space is not None
@@ -204,8 +177,15 @@ class TestCompiledTrace:
         tb.emit_scratch_burst(2, 3)
         tb.emit_scratch(0, is_write=True)
         tb.emit(4, [128, 0, 132])                 # CU 4 wraps to CU 0
-        built = tb.build("mix", space, issue_interval=3.0, suite="test")
+        recorded = recorded_streams(tb)
         # CUs 1 and 3 recorded nothing and are dropped.
+        assert recorded == ([0, 64, 4, 8192, 0, 128, 0, 132,
+                             4096, 4100, 0, 0, 0],
+                            [4, 1, 3, 2, 1, 1, 1],
+                            [0, WRITE | SCRATCH, 0, WRITE, SCRATCH, SCRATCH,
+                             SCRATCH],
+                            [0, 3, 7])
+        built = tb.build("mix", space, issue_interval=3.0, suite="test")
         scratch = ((0,), SCRATCH)
         hand = compile_streams(
             space,
@@ -215,7 +195,8 @@ class TestCompiledTrace:
             issue_interval=3.0, name="mix", metadata={"suite": "test"})
         assert isinstance(built, CompiledTrace)
         _assert_same_compilation(built, hand)
-        _requests_equal(_reference_requests(built), built.coalesced_per_cu())
+        _requests_equal(_reference_requests(built, recorded),
+                        built.coalesced_per_cu())
 
 
 class TestStoreRoundTrip:
@@ -273,8 +254,8 @@ class TestStoreRoundTrip:
         fresh = _small_trace()
         store = TraceStore(tmp_path)
         path = store.store(fresh, 0.05, None)
-        lanes = path / "lanes.npy"
-        lanes.write_bytes(lanes.read_bytes()[:64])
+        req_line = path / "req_line.npy"
+        req_line.write_bytes(req_line.read_bytes()[:64])
         assert load_compiled(path) is None
         assert not path.exists()
 

@@ -257,7 +257,7 @@ class TestTraceValidation:
         meta = json.loads((path / "meta.json").read_text())
         counts = meta["counts"]
         for key, stem in (("instructions", "inst_flags"),
-                          ("requests", "req_line"), ("lanes", "lanes")):
+                          ("requests", "req_line")):
             counts[key] = len(np.load(path / f"{stem}.npy"))
         counts["cus"] = len(np.load(path / "cu_bounds.npy")) - 1
         (path / "meta.json").write_text(json.dumps(meta))
@@ -273,11 +273,6 @@ class TestTraceValidation:
         assert load_compiled(path) is None
         assert not path.exists()
 
-    def test_truncated_lane_array_rejected(self, tmp_path):
-        path = self._stored(tmp_path)
-        self._overwrite(path, lanes=np.asarray([], dtype=np.int64))
-        self._assert_rejected(path, "lane array holds 0 addresses")
-
     def test_unknown_access_kind_rejected(self, tmp_path):
         path = self._stored(tmp_path)
         flags = np.load(path / "inst_flags.npy")
@@ -286,11 +281,13 @@ class TestTraceValidation:
         self._assert_rejected(path, "unknown instruction flag bits")
 
     def test_negative_lane_address_rejected(self, tmp_path):
+        # A negative lane address coalesces to a negative line, which
+        # is all a stored compilation keeps of it.
         path = self._stored(tmp_path)
-        lanes = np.load(path / "lanes.npy")
-        lanes[0] = -8
-        self._overwrite(path, lanes=lanes)
-        self._assert_rejected(path, "negative lane address")
+        req_line = np.load(path / "req_line.npy")
+        req_line[0] = -8
+        self._overwrite(path, req_line=req_line)
+        self._assert_rejected(path, "negative line address -8")
 
     def test_empty_file_rejected(self, tmp_path):
         path = self._stored(tmp_path)
@@ -298,8 +295,7 @@ class TestTraceValidation:
         self._overwrite(
             path, cu_bounds=np.asarray([0], dtype=np.int64),
             inst_flags=np.asarray([], dtype=np.int8),
-            inst_req_counts=empty, req_line=empty, req_lanes=empty,
-            lane_counts=empty, lanes=empty)
+            inst_req_counts=empty, req_line=empty)
         self._assert_rejected(path, "empty")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.system.designs import BASELINE_512
 from repro.system.run import simulate
-from repro.workloads.compiled import TraceStore, compile_arrays
+from repro.workloads.compiled import _ARRAY_FILES, TraceStore, compile_arrays
 from repro.workloads.registry import load
 from repro.workloads.synthetic import synonym_stress
 
@@ -25,7 +25,7 @@ class TestRoundTrip:
         assert reloaded.n_instructions == original.n_instructions
         assert reloaded.issue_interval == original.issue_interval
         assert reloaded.metadata == original.metadata
-        for stem in ("lanes", "lane_counts", "inst_flags", "cu_bounds"):
+        for stem, _dtype in _ARRAY_FILES:
             assert np.array_equal(getattr(original, f"_{stem}"),
                                   getattr(reloaded, f"_{stem}")), stem
 

@@ -10,6 +10,8 @@ from repro.workloads.synthetic import (
     synonym_stress,
 )
 
+from tests.conftest import recording_builds
+
 
 class TestSynonymStress:
     def test_generates_aliased_accesses(self):
@@ -20,9 +22,12 @@ class TestSynonymStress:
         assert trace.footprint_pages() > 16
 
     def test_synonym_fraction_zero_uses_only_leading(self):
-        trace = synonym_stress(n_pages=8, n_accesses=200,
-                               synonym_fraction=0.0, seed=4)
-        region_pages = {a // 4096 for a in trace._lanes.tolist()}
+        with recording_builds() as recorded:
+            synonym_stress(n_pages=8, n_accesses=200,
+                           synonym_fraction=0.0, seed=4)
+        lanes = recorded[0][0]
+        assert lanes
+        region_pages = {a // 4096 for a in lanes}
         assert len(region_pages) <= 8
 
     def test_validation(self):

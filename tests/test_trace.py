@@ -5,14 +5,9 @@ import pytest
 
 from repro.memsys.address_space import AddressSpace
 from repro.workloads.compiled import TraceValidationError, compile_arrays
-from repro.workloads.device import (
-    DeviceArray,
-    TraceBuilder,
-    strided_lane_addresses,
-    warp_chunks,
-)
+from repro.workloads.device import DeviceArray, TraceBuilder, warp_chunks
 
-from tests.conftest import SCRATCH, WRITE, compile_streams
+from tests.conftest import SCRATCH, WRITE, compile_streams, recorded_streams
 
 
 class TestTrace:
@@ -38,10 +33,12 @@ class TestTrace:
         assert self.trace().footprint_pages() == 3
 
     def test_validation(self):
-        # An instruction with no lanes fails the structural check.
+        # A memory instruction with no lanes coalesces to no request,
+        # which the structural check rejects.
         no_lanes = compile_arrays("x", 4.0, {}, AddressSpace(asid=0), [0],
                                   [1, 0], [0, 0], [0, 2])
-        with pytest.raises(TraceValidationError, match="lane count"):
+        with pytest.raises(TraceValidationError,
+                           match="zero coalesced requests"):
             no_lanes.validate_fast()
 
 
@@ -58,11 +55,6 @@ class TestDeviceArray:
         arr = DeviceArray(space, 10, 4)
         with pytest.raises(IndexError):
             arr.addr(10)
-
-    def test_row_major_2d(self):
-        space = AddressSpace(asid=0)
-        arr = DeviceArray(space, 64, 4)
-        assert arr.row_addr(2, 3, n_cols=8) == arr.addr(19)
 
     def test_gather_gives_python_ints(self):
         space = AddressSpace(asid=0)
@@ -114,10 +106,11 @@ class TestTraceBuilder:
         tb = TraceBuilder(n_cus=2)
         tb.emit(0, [4096])
         tb.emit(5, [0])  # CU 5 → CU 1
+        assert recorded_streams(tb)[0] == [4096, 0]
         trace = tb.build("wrap", AddressSpace(asid=0), issue_interval=4.0)
         assert trace.n_cus == 2
         assert trace.coalesced_per_cu()[3] == [0, 1, 2]
-        assert trace._lanes.tolist() == [4096, 0]
+        assert trace.coalesced_per_cu()[0] == [4096 // trace.line_size, 0]
 
 
 class TestWarpChunks:
@@ -142,16 +135,3 @@ class TestWarpChunks:
         with pytest.raises(ValueError):
             list(warp_chunks(100, 4, sample=0))
 
-
-class TestStridedAddresses:
-    def test_unit_stride(self):
-        space = AddressSpace(asid=0)
-        arr = DeviceArray(space, 100, 4)
-        addrs = strided_lane_addresses(arr, 10, 4)
-        assert addrs == [arr.addr(10 + k) for k in range(4)]
-
-    def test_page_stride(self):
-        space = AddressSpace(asid=0)
-        arr = DeviceArray(space, 10_000, 4)
-        addrs = strided_lane_addresses(arr, 0, 3, stride=1024)
-        assert addrs[1] - addrs[0] == 4096

@@ -19,6 +19,8 @@ from repro.workloads.registry import (
     load,
 )
 
+from tests.conftest import load_recorded
+
 TINY = 0.05
 
 
@@ -91,32 +93,31 @@ class TestEveryWorkload:
         assert trace.metadata["high_bandwidth"] == is_high_bandwidth(name)
 
     def test_addresses_are_mapped(self, name):
-        trace = load(name, scale=TINY)
+        trace, (lanes, lane_counts, flags, _bounds) = load_recorded(name, TINY)
         space = trace.address_space
-        # The first lane of each memory instruction.
-        first_lanes = np.cumsum(trace._lane_counts) - trace._lane_counts
-        memory = (trace._inst_flags & 2) == 0
-        addresses = trace._lanes[first_lanes[memory]][:200].tolist()
+        # The first lane of each memory instruction, as the builder
+        # recorded it.
+        lane_counts = np.asarray(lane_counts)
+        first_lanes = np.cumsum(lane_counts) - lane_counts
+        memory = (np.asarray(flags) & 2) == 0
+        addresses = np.asarray(lanes)[first_lanes[memory]][:200].tolist()
         assert addresses
         for addr in addresses:
             assert space.translate(addr) is not None, hex(addr)
 
     def test_deterministic(self, name):
-        a = load(name, scale=TINY)
-        clear_cache()
-        b = load(name, scale=TINY)
+        a, a_streams = load_recorded(name, TINY)
+        b, b_streams = load_recorded(name, TINY)
         assert a.n_instructions == b.n_instructions
-        assert np.array_equal(a._lanes, b._lanes)
+        assert a_streams == b_streams
 
     def test_array_statistics_match_lane_definitions(self, name):
-        trace = load(name, scale=TINY)
-        lanes = trace._lanes.tolist()
+        trace, (lanes, lane_counts, flags, _bounds) = load_recorded(name, TINY)
         pages, lines, memory, scratch, pos = set(), 0, 0, 0, 0
-        for n_lanes, flags in zip(trace._lane_counts.tolist(),
-                                  trace._inst_flags.tolist()):
+        for n_lanes, flag in zip(lane_counts, flags):
             addresses = lanes[pos:pos + n_lanes]
             pos += n_lanes
-            if flags & 2:
+            if flag & 2:
                 scratch += 1
                 continue
             memory += 1
