@@ -17,10 +17,14 @@ lifetime tracking, invariant auditing, an optional fault plan), and
 
 Validation is strict and typed: every rejected spec raises a
 :class:`SweepSpecError` subclass with a precise message, which the
-service maps to HTTP 400.  :meth:`SweepSpec.fingerprint` is a stable
-SHA-256 over the canonical serialized form (the optional ``name`` label
-excluded), so identical plans hash identically regardless of JSON key
-order or which defaults were spelled out.
+service maps to HTTP 400.  The field checks (:func:`resolve_workload`,
+:func:`resolve_design`, :func:`validate_scale`, :func:`require_bool`,
+:func:`apply_overrides`) are public: ``/v1/simulate`` validates its
+points with them without building a spec.
+:meth:`SweepSpec.fingerprint` is a stable SHA-256 over the canonical
+serialized form (the optional ``name`` label excluded), so identical
+plans hash identically regardless of JSON key order or which defaults
+were spelled out.
 
 The generated schema reference lives at ``docs/SWEEPSPEC.md``
 (:mod:`repro.experiments.spec_doc` renders it; a drift test keeps it
@@ -59,8 +63,13 @@ __all__ = [
     "UnknownDesignError",
     "UnknownWorkloadError",
     "VersionSkewError",
+    "apply_overrides",
     "design_to_wire",
+    "require_bool",
+    "resolve_design",
+    "resolve_workload",
     "run_sweep",
+    "validate_scale",
 ]
 
 #: The current spec schema version.  Bump on any incompatible change;
@@ -105,8 +114,8 @@ def _known_design_slugs() -> List[str]:
     return sorted({design_slug(d.name) for d in PRESET_DESIGNS})
 
 
-def _resolve_design(entry: Any, where: str) -> MMUDesign:
-    """One spec design entry — a preset slug/name or an inline object."""
+def resolve_design(entry: Any, where: str) -> MMUDesign:
+    """One design entry — a preset slug/name or an inline object."""
     if isinstance(entry, str):
         design = lookup_design(entry)
         if design is None:
@@ -132,7 +141,8 @@ def design_to_wire(design: MMUDesign) -> Union[str, Dict[str, Any]]:
     return design_to_dict(design)
 
 
-def _require_bool(value: Any, where: str) -> bool:
+def require_bool(value: Any, where: str) -> bool:
+    """``value`` if it is a boolean; :class:`BadFieldError` otherwise."""
     if not isinstance(value, bool):
         raise BadFieldError(f"{where} must be a boolean, got {value!r}")
     return value
@@ -214,7 +224,7 @@ class OutputSpec:
     include_counters: bool = False
 
     def __post_init__(self) -> None:
-        _require_bool(self.include_counters, "output.include_counters")
+        require_bool(self.include_counters, "output.include_counters")
 
     @classmethod
     def from_dict(cls, obj: Any) -> "OutputSpec":
@@ -244,9 +254,9 @@ class SweepPoint:
         _reject_unknown_keys(
             obj, ("workload", "design", "track_lifetimes"), where)
         return cls(
-            workload=_resolve_workload(obj.get("workload"), where),
-            design=_resolve_design(obj.get("design"), where),
-            track_lifetimes=_require_bool(
+            workload=resolve_workload(obj.get("workload"), where),
+            design=resolve_design(obj.get("design"), where),
+            track_lifetimes=require_bool(
                 obj.get("track_lifetimes", False),
                 f"{where}.track_lifetimes"),
         )
@@ -261,7 +271,8 @@ class SweepPoint:
         return out
 
 
-def _resolve_workload(name: Any, where: str) -> str:
+def resolve_workload(name: Any, where: str) -> str:
+    """``name`` if the registry knows it; a :class:`SweepSpecError` otherwise."""
     if not isinstance(name, str):
         raise BadFieldError(
             f"{where}: workload must be a string, got {type(name).__name__}")
@@ -272,7 +283,8 @@ def _resolve_workload(name: Any, where: str) -> str:
     return name
 
 
-def _validate_scale(scale: Any) -> Optional[float]:
+def validate_scale(scale: Any) -> Optional[float]:
+    """A positive scale as a float, or ``None`` for the default."""
     if scale is None:
         return None
     if isinstance(scale, bool) or not isinstance(scale, (int, float)):
@@ -284,13 +296,22 @@ def _validate_scale(scale: Any) -> Optional[float]:
     return float(scale)
 
 
-def _validate_overrides(config: Dict[str, Any]) -> None:
-    """Scalar SoCConfig overrides only, same contract as the service."""
+def apply_overrides(base: SoCConfig, config: Any) -> SoCConfig:
+    """``base`` with scalar top-level SoCConfig overrides applied.
+
+    Only plain int/float fields (``n_cus``, ``cu_window``,
+    ``dram_latency``, …) may be overridden, each with a number or null;
+    nested structures (cache/IOMMU configs) would need their own schema
+    and are rejected, so a typo cannot silently build a half-default
+    config.  One ``dataclasses.replace`` applies the overrides and runs
+    SoCConfig's own checks; every rejection is a :class:`BadFieldError`.
+    """
     if not isinstance(config, dict):
         raise BadFieldError(
             f"'config' must be an object of SoCConfig field overrides, "
             f"got {type(config).__name__}")
-    base = SoCConfig()
+    if not config:
+        return base
     field_names = {f.name for f in dataclasses.fields(SoCConfig)}
     for key, value in config.items():
         if key not in field_names:
@@ -300,7 +321,7 @@ def _validate_overrides(config: Dict[str, Any]) -> None:
                 not isinstance(current, (int, float, type(None))):
             raise BadFieldError(
                 f"config: SoCConfig field {key!r} is not a scalar; only "
-                f"scalar fields can be overridden in a spec")
+                f"scalar fields can be overridden")
         if value is not None and (
                 isinstance(value, bool)
                 or not isinstance(value, (int, float))):
@@ -308,7 +329,7 @@ def _validate_overrides(config: Dict[str, Any]) -> None:
                 f"config: override for {key!r} must be a number or null, "
                 f"got {type(value).__name__}")
     try:
-        dataclasses.replace(base, **config)
+        return dataclasses.replace(base, **config)
     except (TypeError, ValueError) as exc:
         raise BadFieldError(f"config: invalid override: {exc}")
 
@@ -361,7 +382,7 @@ class SweepSpec:
                     "spec needs either non-empty 'workloads' and 'designs' "
                     "(a grid) or a non-empty 'points' list")
         for index, workload in enumerate(self.workloads):
-            _resolve_workload(workload, f"workloads[{index}]")
+            resolve_workload(workload, f"workloads[{index}]")
         for index, design in enumerate(self.designs):
             if not isinstance(design, MMUDesign):
                 raise BadFieldError(
@@ -375,10 +396,10 @@ class SweepSpec:
                     f"two different designs share the name "
                     f"{design.name!r}; results are keyed by design name, "
                     f"so names must be unique within a spec")
-        _validate_scale(self.scale)
-        _validate_overrides(self.config)
-        _require_bool(self.track_lifetimes, "'track_lifetimes'")
-        _require_bool(self.check_invariants, "'check_invariants'")
+        validate_scale(self.scale)
+        apply_overrides(SoCConfig(), self.config)
+        require_bool(self.track_lifetimes, "'track_lifetimes'")
+        require_bool(self.check_invariants, "'check_invariants'")
         if self.faults is not None:
             if self.track_lifetimes or any(
                     p.track_lifetimes for p in self.points):
@@ -402,7 +423,7 @@ class SweepSpec:
         """
         resolved = tuple(
             design if isinstance(design, MMUDesign)
-            else _resolve_design(design, f"designs[{index}]")
+            else resolve_design(design, f"designs[{index}]")
             for index, design in enumerate(designs))
         return cls(workloads=tuple(workloads), designs=resolved, **kwargs)
 
@@ -420,7 +441,7 @@ class SweepSpec:
             else:
                 workload, design, track = point
             if not isinstance(design, MMUDesign):
-                design = _resolve_design(design, f"points[{index}].design")
+                design = resolve_design(design, f"points[{index}].design")
             resolved.append(SweepPoint(workload, design, bool(track)))
         return cls(points=tuple(resolved), **kwargs)
 
@@ -450,7 +471,7 @@ class SweepSpec:
             raise BadFieldError(
                 f"'designs' must be an array of design slugs or inline "
                 f"design objects, got {type(raw_designs).__name__}")
-        designs = tuple(_resolve_design(entry, f"designs[{index}]")
+        designs = tuple(resolve_design(entry, f"designs[{index}]")
                         for index, entry in enumerate(raw_designs))
         raw_points = obj.get("points", [])
         if not isinstance(raw_points, list):
@@ -545,9 +566,7 @@ class SweepSpec:
 
     def apply_config(self, base: SoCConfig) -> SoCConfig:
         """``base`` with this spec's scalar overrides applied."""
-        if not self.config:
-            return base
-        return dataclasses.replace(base, **self.config)
+        return apply_overrides(base, self.config)
 
 
 # -- running a (non-fault) spec through a ResultCache ---------------------

@@ -73,7 +73,6 @@ from repro.service.protocol import (
     PointSpec,
     ProtocolError,
     design_slug,
-    resolve_design,
 )
 from repro.service.server import ExperimentService
 
@@ -100,7 +99,6 @@ __all__ = [
     "launch_local_gateway",
     "parse_target",
     "replicas_from_urls",
-    "resolve_design",
     "run_gateway",
     "spawn_subprocess_replicas",
     "spawn_thread_replicas",

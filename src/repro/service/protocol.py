@@ -3,15 +3,16 @@
 The server and client speak plain JSON over HTTP.  This module owns
 everything both sides must agree on without importing each other:
 
-* **Design resolution** — experiment points name their MMU design as a
-  string; :func:`resolve_design` accepts either the canonical Table 2
-  name (``"VC With OPT"``) or its URL-friendly slug (``"vc-with-opt"``)
-  and returns the frozen :class:`~repro.system.designs.MMUDesign`.
 * **Request validation** — :func:`parse_simulate_request` turns a
   decoded JSON body into validated :class:`PointSpec` records, raising
   :class:`ProtocolError` (which carries the HTTP status to answer
   with) on anything malformed: unknown workloads or designs, bad
-  scales, non-scalar config overrides.
+  scales, non-scalar config overrides.  Each field goes through the
+  same check a :class:`~repro.experiments.sweepspec.SweepSpec` field
+  does (a design is a canonical Table 2 name such as ``"VC With
+  OPT"``, its slug ``"vc-with-opt"``, or an inline design object), and
+  every :class:`~repro.experiments.sweepspec.SweepSpecError` becomes a
+  400.  :func:`parse_sweep_request` validates a whole spec.
 * **Result payloads** — :func:`result_payload` serializes one slim
   :class:`~repro.system.run.SimulationResult` plus its cache-tier
   provenance (``memo`` — served from the in-process memo; ``disk`` —
@@ -26,7 +27,6 @@ agree on what "the same point" means.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -34,15 +34,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.experiments import sweepspec
 from repro.experiments.disk_cache import point_fingerprint
 from repro.system.config import SoCConfig
-from repro.system.designs import (
-    DESIGNS_BY_NAME,
-    MMUDesign,
-    PRESET_DESIGNS,
-    design_from_dict,
-    design_slug,
-)
+from repro.system.designs import DESIGNS_BY_NAME, MMUDesign, design_slug
 from repro.system.run import SimulationResult
-from repro.workloads import registry
 
 __all__ = [
     "DESIGNS_BY_NAME",
@@ -60,8 +53,6 @@ __all__ = [
     "parse_deadline_header",
     "parse_simulate_request",
     "parse_sweep_request",
-    "resolve_design",
-    "resolve_workload",
     "result_payload",
 ]
 
@@ -142,87 +133,6 @@ def parse_deadline_header(headers: Mapping[str, str]) -> Optional[float]:
     return time.monotonic() + ms / 1000.0
 
 
-def resolve_design(name: Any) -> MMUDesign:
-    """Look up a design by canonical name or slug; 400 on anything else.
-
-    An inline design object (the :func:`~repro.system.designs.design_to_dict`
-    shape) is also accepted — the gateway forwards non-preset sweep
-    designs to replicas in that form.
-    """
-    if isinstance(name, dict):
-        try:
-            return design_from_dict(name)
-        except ValueError as exc:
-            raise ProtocolError(
-                400, ERROR_BAD_REQUEST, f"invalid inline design: {exc}")
-    if not isinstance(name, str):
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST,
-            f"point 'design' must be a string or design object, "
-            f"got {type(name).__name__}")
-    design = DESIGNS_BY_NAME.get(name) or DESIGNS_BY_NAME.get(design_slug(name))
-    if design is None:
-        known = sorted({design_slug(d.name) for d in PRESET_DESIGNS})
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST,
-            f"unknown design {name!r}; known designs: {', '.join(known)}")
-    return design
-
-
-def resolve_workload(name: Any) -> str:
-    """Validate a workload name against the registry; 400 on anything else."""
-    if not isinstance(name, str):
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST,
-            f"point 'workload' must be a string, got {type(name).__name__}")
-    if name not in registry.WORKLOADS:
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST,
-            f"unknown workload {name!r}; known workloads: "
-            f"{', '.join(sorted(registry.WORKLOADS))}")
-    return name
-
-
-def config_with_overrides(base: SoCConfig, overrides: Any) -> SoCConfig:
-    """Apply scalar top-level ``SoCConfig`` overrides from a request.
-
-    Only plain int/float/bool fields may be overridden over the wire
-    (``n_cus``, ``cu_window``, ``dram_latency``, …); nested structures
-    (cache/IOMMU configs) would need their own schema and are rejected
-    so a typo cannot silently build a half-default config.
-    """
-    if not isinstance(overrides, dict):
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST,
-            f"'config' must be an object of field overrides, "
-            f"got {type(overrides).__name__}")
-    field_names = {f.name for f in dataclasses.fields(SoCConfig)}
-    clean: Dict[str, Any] = {}
-    for key, value in overrides.items():
-        if key not in field_names:
-            raise ProtocolError(
-                400, ERROR_BAD_REQUEST, f"unknown SoCConfig field {key!r}")
-        current = getattr(base, key)
-        if isinstance(current, bool) or \
-                not isinstance(current, (int, float, type(None))):
-            raise ProtocolError(
-                400, ERROR_BAD_REQUEST,
-                f"SoCConfig field {key!r} is not a scalar; only scalar "
-                f"fields can be overridden over the wire")
-        if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ProtocolError(
-                400, ERROR_BAD_REQUEST,
-                f"override for {key!r} must be a number or null, "
-                f"got {type(value).__name__}")
-        clean[key] = value
-    try:
-        return dataclasses.replace(base, **clean)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST, f"invalid config override: {exc}")
-
-
 @dataclass(frozen=True)
 class PointSpec:
     """One fully resolved experiment point a request asks for.
@@ -264,20 +174,6 @@ class PointSpec:
         )
 
 
-def _parse_scale(raw: Any, default: float) -> float:
-    if raw is None:
-        return default
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST,
-            f"'scale' must be a number, got {type(raw).__name__}")
-    scale = float(raw)
-    if not scale > 0:
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST, f"'scale' must be positive, got {scale}")
-    return scale
-
-
 def parse_simulate_request(
     body: Any,
     default_scale: float,
@@ -290,16 +186,31 @@ def parse_simulate_request(
     shorthand ``{"workload": ..., "design": ...}``.  Request-level
     ``scale`` and ``config`` apply to every point.  The returned list
     preserves request order (duplicates included — the server coalesces
-    them, the response answers each).
+    them, the response answers each).  Fields are checked as in a
+    :class:`~repro.experiments.sweepspec.SweepSpec`, but no spec is
+    built: a point's unknown keys are ignored, and an inline design may
+    reuse a preset's name.
     """
+    try:
+        return _simulate_points(body, default_scale, base_config,
+                                check_invariants)
+    except sweepspec.SweepSpecError as exc:
+        raise ProtocolError(400, ERROR_BAD_REQUEST, str(exc))
+
+
+def _simulate_points(body: Any, default_scale: float,
+                     base_config: SoCConfig,
+                     check_invariants: bool) -> List[PointSpec]:
     if not isinstance(body, dict):
         raise ProtocolError(
             400, ERROR_BAD_REQUEST,
             f"request body must be a JSON object, got {type(body).__name__}")
-    scale = _parse_scale(body.get("scale"), default_scale)
+    scale = sweepspec.validate_scale(body.get("scale"))
+    if scale is None:
+        scale = default_scale
     config = base_config
     if body.get("config") is not None:
-        config = config_with_overrides(base_config, body["config"])
+        config = sweepspec.apply_overrides(base_config, body["config"])
 
     if "points" in body:
         raw_points = body["points"]
@@ -321,18 +232,15 @@ def parse_simulate_request(
 
     specs: List[PointSpec] = []
     for index, raw in enumerate(raw_points):
+        where = f"points[{index}]"
         if not isinstance(raw, dict):
             raise ProtocolError(
                 400, ERROR_BAD_REQUEST,
-                f"points[{index}] must be an object, "
-                f"got {type(raw).__name__}")
-        workload = resolve_workload(raw.get("workload"))
-        design = resolve_design(raw.get("design"))
-        track = raw.get("track_lifetimes", False)
-        if not isinstance(track, bool):
-            raise ProtocolError(
-                400, ERROR_BAD_REQUEST,
-                f"points[{index}].track_lifetimes must be a boolean")
+                f"{where} must be an object, got {type(raw).__name__}")
+        workload = sweepspec.resolve_workload(raw.get("workload"), where)
+        design = sweepspec.resolve_design(raw.get("design"), where)
+        track = sweepspec.require_bool(raw.get("track_lifetimes", False),
+                                       f"{where}.track_lifetimes")
         specs.append(PointSpec.build(
             workload, design, track, scale, config, check_invariants))
     return specs
@@ -376,6 +284,7 @@ def parse_sweep_request(
             400, ERROR_BAD_REQUEST, "request needs a 'sweep' object")
     try:
         spec = sweepspec.SweepSpec.from_dict(body["sweep"])
+        config = spec.apply_config(base_config)
     except sweepspec.SweepSpecError as exc:
         raise ProtocolError(
             400, ERROR_BAD_REQUEST, f"invalid sweep spec: {exc}")
@@ -391,11 +300,6 @@ def parse_sweep_request(
             "spec requests check_invariants but this server runs without "
             "invariant auditing; start it with --check-invariants")
     scale = spec.scale if spec.scale is not None else default_scale
-    try:
-        config = spec.apply_config(base_config)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            400, ERROR_BAD_REQUEST, f"invalid config override: {exc}")
     points = spec.resolved_points()
     if len(points) > MAX_POINTS_PER_REQUEST:
         raise ProtocolError(

@@ -29,12 +29,8 @@ from repro.service import (
     ServiceError,
     design_slug,
     launch_local_gateway,
-    resolve_design,
 )
-from repro.service.protocol import (
-    config_with_overrides,
-    parse_simulate_request,
-)
+from repro.service.protocol import parse_simulate_request
 from repro.system.config import SoCConfig
 
 SCALE = 0.05
@@ -83,26 +79,40 @@ def front(request, tmp_path):
 def test_design_slug_round_trip():
     assert design_slug("VC With OPT") == "vc-with-opt"
     assert design_slug("Baseline 512") == "baseline-512"
+    # Every preset's canonical name and slug resolves to the preset.
     for name, design in DESIGNS_BY_NAME.items():
-        assert resolve_design(name) is design
+        [spec] = parse_simulate_request(
+            {"workload": "bfs", "design": name}, SCALE, SoCConfig())
+        assert spec.design is design
 
 
 def test_resolve_design_rejects_unknown():
     with pytest.raises(ProtocolError) as exc:
-        resolve_design("no-such-design")
+        parse_simulate_request(
+            {"workload": "bfs", "design": "no-such-design"}, SCALE,
+            SoCConfig())
     assert exc.value.status == 400
+    assert exc.value.code == "bad_request"
     assert "known designs" in exc.value.message
 
 
 def test_config_overrides_scalar_only():
     base = SoCConfig()
-    assert config_with_overrides(base, {"n_cus": 4}).n_cus == 4
-    with pytest.raises(ProtocolError):
-        config_with_overrides(base, {"l1": {"size_bytes": 1}})  # nested
-    with pytest.raises(ProtocolError):
-        config_with_overrides(base, {"no_such_field": 1})
-    with pytest.raises(ProtocolError):
-        config_with_overrides(base, {"n_cus": "eight"})
+
+    def parse(config):
+        return parse_simulate_request({**POINT, "config": config}, SCALE, base)
+
+    assert parse({"n_cus": 4})[0].config.n_cus == 4
+    for config, fragment in (
+        ({"l1": {"size_bytes": 1}}, "not a scalar"),  # nested
+        ({"no_such_field": 1}, "unknown SoCConfig field"),
+        ({"n_cus": "eight"}, "must be a number or null"),
+    ):
+        with pytest.raises(ProtocolError) as exc:
+            parse(config)
+        assert exc.value.status == 400
+        assert exc.value.code == "bad_request"
+        assert fragment in exc.value.message
 
 
 def test_parse_simulate_request_shapes():
