@@ -199,15 +199,6 @@ class IOMMU:
         # Homonym-safe key: the shared TLB is effectively ASID-tagged.
         return (asid << 52) | vpn
 
-    def _bank_of(self, vpn: int) -> int:
-        if self.config.bank_select == "low":
-            return vpn % self.config.n_banks
-        # Higher-order bits: 2 MB regions map to one bank.
-        return (vpn >> 9) % self.config.n_banks
-
-    def walker(self, asid: int = 0) -> PageTableWalker:
-        return self._walkers[asid]
-
     # -- translation path ---------------------------------------------------
     def translate(self, vpn: int, now: float, asid: int = 0) -> TranslationOutcome:
         """Translate ``vpn`` arriving at the IOMMU at time ``now``.
@@ -216,23 +207,9 @@ class IOMMU:
         the shared TLB port, then (on a miss) consults the FBT if one is
         attached as a second-level TLB, and finally walks the page table.
         Raises :class:`PageFault` for unmapped pages (handled by the CPU
-        in the real system).
-        """
-        (ppn, permissions, finish, source, is_large, large_base_vpn,
-         large_base_ppn) = self.translate_parts(vpn, now, asid)
-        return TranslationOutcome(
-            vpn=vpn, ppn=ppn, permissions=permissions, source=source,
-            arrival=now, finish=finish, is_large=is_large,
-            large_base_vpn=large_base_vpn, large_base_ppn=large_base_ppn,
-        )
-
-    def translate_parts(self, vpn: int, now: float, asid: int = 0) -> tuple:
-        """:meth:`translate` without the outcome object.
-
-        Returns ``(ppn, permissions, finish, source, is_large,
-        large_base_vpn, large_base_ppn)``; the compiled access closures
-        consume the tuple directly, skipping one allocation per
-        whole-hierarchy miss.
+        in the real system).  The compiled access closures of
+        :mod:`repro.system.fastpath` inline this method's shared-TLB
+        prologue and call :meth:`_translate_miss_parts` on a miss.
         """
         # Inlined ``access_sampler.record(now)`` — one dict upsert per
         # translation is hot enough to skip the method dispatch.
@@ -247,7 +224,8 @@ class IOMMU:
         if self.unlimited_bandwidth:
             service_start = now
         elif self._port_banks is not None:
-            # Inlined ``_bank_of`` + ``BankedServer.request`` dispatch.
+            # "low" interleaves pages over the banks; "high" maps each
+            # 2 MB region to one bank.
             if self._bank_select_low:
                 bank = vpn % self._n_port_banks
             else:
@@ -303,17 +281,27 @@ class IOMMU:
                 self._translate_hist.record(t - now)
             if tracing:
                 tracer.emit("iommu.tlb_hit", t, vpn=vpn)
-            return (entry.ppn, entry.permissions, t, "shared_tlb",
-                    entry.is_large, entry.large_base_vpn,
-                    entry.large_base_ppn)
-        return self._translate_miss_parts(key, vpn, t, now, asid)
+            return TranslationOutcome(
+                vpn=vpn, ppn=entry.ppn, permissions=entry.permissions,
+                source="shared_tlb", arrival=now, finish=t,
+                is_large=entry.is_large, large_base_vpn=entry.large_base_vpn,
+                large_base_ppn=entry.large_base_ppn)
+        (ppn, permissions, finish, source, is_large, large_base_vpn,
+         large_base_ppn) = self._translate_miss_parts(key, vpn, t, now, asid)
+        return TranslationOutcome(
+            vpn=vpn, ppn=ppn, permissions=permissions, source=source,
+            arrival=now, finish=finish, is_large=is_large,
+            large_base_vpn=large_base_vpn, large_base_ppn=large_base_ppn)
 
     def _translate_miss_parts(self, key: int, vpn: int, t: float, now: float,
                               asid: int) -> tuple:
-        """Shared-TLB-miss tail of :meth:`translate_parts`.
+        """Shared-TLB-miss tail of :meth:`translate`, without the outcome.
 
-        Split out so compiled hot paths can inline the (far more common)
-        shared-TLB-hit prologue and only pay a method call on a miss.
+        Returns ``(ppn, permissions, finish, source, is_large,
+        large_base_vpn, large_base_ppn)``.  Split out so the compiled
+        access closures can inline the (far more common) shared-TLB-hit
+        prologue, pay a method call only on a miss, and consume the
+        tuple without building an outcome object.
         """
         timeline = self._timeline
         tracer = self._tracer

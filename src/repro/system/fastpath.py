@@ -107,7 +107,7 @@ def compile_physical_access(h):
     iommu_to_gpu = cfg.interconnect.iommu_to_gpu
     ideal = h.ideal
     page_tables = h.page_tables
-    # IOMMU constants for the inlined ``translate_parts`` prologue +
+    # IOMMU constants for the inlined ``IOMMU.translate`` prologue +
     # shared-TLB probe (the shared-TLB-miss tail keeps the
     # ``_translate_miss_parts`` method).  A compiled build has no
     # observability bundle, so its IOMMU records no histogram,
@@ -168,7 +168,7 @@ def compile_physical_access(h):
                 tlb.insert(key, ppn, permissions, t)
                 ready = t
             else:
-                # Inlined ``IOMMU.translate_parts`` prologue + shared-TLB
+                # Inlined ``IOMMU.translate`` prologue + shared-TLB
                 # probe; the per-CU TLB key doubles as the shared-TLB
                 # key (both are ``asid<<52 | vpn``).
                 t_iommu = t + gpu_to_iommu
@@ -351,7 +351,7 @@ def compile_virtual_access(h):
     ft = fbt.ft
     ft_index = ft._index
     ft_lookup = ft.lookup
-    # IOMMU constants for the inlined ``translate_parts`` prologue +
+    # IOMMU constants for the inlined ``IOMMU.translate`` prologue +
     # shared-TLB probe (the shared-TLB-miss tail keeps the
     # ``_translate_miss_parts`` method); as in the physical closure,
     # the IOMMU of a compiled build is uninstrumented.
@@ -560,7 +560,7 @@ def compile_virtual_access(h):
         # is inlined here; synonym replays and shootdowns bail out to
         # the methods, which own that logic.
         h._n_l2_misses += 1
-        # Inlined ``IOMMU.translate_parts`` prologue + shared-TLB probe.
+        # Inlined ``IOMMU.translate`` prologue + shared-TLB probe.
         t_iommu = t_hit + gpu_to_iommu
         window = int(t_iommu // sampler_ic)
         scounts[window] = scounts.get(window, 0) + 1
