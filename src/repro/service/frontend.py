@@ -438,13 +438,17 @@ class Frontend:
             status = 500
             payload = {"error": protocol.ERROR_INTERNAL,
                        "message": f"{type(exc).__name__}: {exc}"}
+        self._settle(record, "done" if status == 200 else "failed", payload)
+
+    def _settle(self, record: Dict[str, Any], status: str,
+                payload: Dict[str, Any]) -> None:
+        """Finish a job's record and journal it, so restarts serve it as is."""
         record["result"] = payload
-        record["status"] = "done" if status == 200 else "failed"
+        record["status"] = status
         record["completed_unix"] = time.time()
         if self._journal is not None:
             self._journal.record_finished(
-                record["job_id"], record["status"], payload,
-                record["completed_unix"])
+                record["job_id"], status, payload, record["completed_unix"])
 
     def _job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
         record = self._jobs.get(job_id)
@@ -466,7 +470,9 @@ class Frontend:
         re-validated and re-run under their original job IDs and trace
         IDs.  Their points are fingerprint-keyed, so anything that
         reached the disk cache before the crash costs nothing to
-        "recompute".
+        "recompute".  A body that fails re-validation is journaled as
+        failed, so replay is idempotent: every later restart serves that
+        same record instead of judging the body again.
         """
         metrics = self.obs.metrics
         for job in self._journal.replay():
@@ -490,10 +496,10 @@ class Frontend:
             try:
                 record["n_points"] = self._accept_job(job.body, admit=False)
             except ProtocolError as exc:
-                record["status"] = "failed"
-                record["result"] = {"error": protocol.ERROR_BAD_REQUEST,
-                                    "message": f"journal replay: {exc}"}
-                record["completed_unix"] = time.time()
+                record["n_points"] = 0  # as later restarts read the payload
+                self._settle(record, "failed",
+                             {"error": protocol.ERROR_BAD_REQUEST,
+                              "message": f"journal replay: {exc}"})
                 continue
             ctx = TraceContext.from_headers({"x-trace-id": job.trace_id})
             self._loop.create_task(self._run_job(record, job.body, ctx))

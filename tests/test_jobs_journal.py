@@ -151,6 +151,47 @@ def test_restart_replays_invalid_body_as_failed(tmp_path):
         service.shutdown()
 
 
+def test_restart_replay_is_idempotent(tmp_path):
+    """A second restart over the same journal serves the same jobs as the
+    first, byte for byte, without appending a record or simulating."""
+    path = tmp_path / "jobs.rpck"
+    journal = JobJournal(path)
+    body = json.dumps({"points": [POINT]}).encode("utf-8")
+    journal.record_submitted("job-done", body, "trace-done", 10.0)
+    journal.record_finished("job-done", "done", {"points": []}, 11.0)
+    journal.record_submitted("job-unfinished", body, "trace-unfinished", 12.0)
+    journal.record_submitted("job-bad", b"not json at all", "trace-bad", 13.0)
+    job_ids = ("job-done", "job-unfinished", "job-bad")
+
+    def restart():
+        service = _service(tmp_path)
+        service.start_in_thread()
+        try:
+            with ServiceClient(service.host, service.port) as client:
+                client.wait("job-unfinished", timeout=120.0)
+                # Raw replies: ServiceClient.poll drops completed_unix.
+                # Every reply's trace_id is its own request's.
+                replies = {}
+                for job_id in job_ids:
+                    reply = client._request("GET", f"/v1/jobs/{job_id}")
+                    reply.pop("trace_id")
+                    replies[job_id] = reply
+                simulations = client.healthz().simulations_run
+        finally:
+            service.shutdown()
+        return replies, simulations
+
+    first, _ = restart()
+    assert [first[job_id]["status"] for job_id in job_ids] == [
+        "done", "done", "failed"]
+    assert all("completed_unix" in reply for reply in first.values())
+    settled = path.read_bytes()
+    second, simulations = restart()
+    assert second == first
+    assert path.read_bytes() == settled
+    assert simulations == 0
+
+
 # -- subprocess SIGTERM flush (the real crash drill) ----------------------
 
 def test_sigterm_flushes_job_journal_and_restart_serves(tmp_path):
