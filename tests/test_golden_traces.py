@@ -12,6 +12,14 @@ seven files format 1 of the store held.  Any change to a generator, to
 trace building, or to coalescing that moves a single lane, request or
 frame fails here, before it can skew a simulated cycle.
 
+A second set pins every workload at ``sweep_cold``'s scale 1.25
+(``golden_traces_sweep.json``), where generators take code paths the
+small scale never reaches (hub truncation on every warp, tail warps,
+more pivot steps).  It hashes the four trace arrays, then the lane
+addresses, lane counts and flags the builder recorded; it leaves out
+the dict :class:`~repro.gpu.coalescer.Coalescer`'s lanes-per-request
+pass, which is slow at 9.6M lanes.
+
 Regenerate (only when an *intentional* workload change shifts traces)::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_traces.py
@@ -34,8 +42,11 @@ from repro.workloads.compiled import _ARRAY_FILES, mapping_rows
 from tests.conftest import SCRATCH, load_recorded
 
 GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
+SWEEP_GOLDEN_PATH = Path(__file__).parent / "golden_traces_sweep.json"
 
 SCALE = 0.05
+#: ``sweep_cold``'s scale.
+SWEEP_SCALE = 1.25
 
 #: The digested arrays, in the order the seven files of format 1 of the
 #: compiled-trace store held them.
@@ -43,6 +54,13 @@ DIGESTED = _ARRAY_FILES + (
     ("req_lanes", np.int64),
     ("lane_counts", np.int64),
     ("lanes", np.int64),
+)
+#: The arrays digested at :data:`SWEEP_SCALE`: the four a trace keeps,
+#: then the builder's record.
+SWEEP_DIGESTED = _ARRAY_FILES + (
+    ("lanes", np.int64),
+    ("lane_counts", np.int64),
+    ("flags", np.int8),
 )
 
 
@@ -57,15 +75,17 @@ def _lanes_per_request(lanes, lane_counts, flags, line_size) -> list:
     return served
 
 
-def _digest(name: str) -> dict:
-    compiled, (lanes, lane_counts, flags, _bounds) = load_recorded(name, SCALE)
+def _digest(name: str, scale: float = SCALE, digested=DIGESTED) -> dict:
+    compiled, (lanes, lane_counts, flags, _bounds) = load_recorded(name, scale)
     arrays = {stem: getattr(compiled, f"_{stem}") for stem, _ in _ARRAY_FILES}
-    arrays["req_lanes"] = _lanes_per_request(lanes, lane_counts, flags,
-                                             compiled.line_size)
+    if "req_lanes" in dict(digested):
+        arrays["req_lanes"] = _lanes_per_request(lanes, lane_counts, flags,
+                                                 compiled.line_size)
     arrays["lane_counts"] = lane_counts
     arrays["lanes"] = lanes
+    arrays["flags"] = flags
     digest = hashlib.sha256()
-    for stem, dtype in DIGESTED:
+    for stem, dtype in digested:
         arr = np.ascontiguousarray(arrays[stem], dtype=dtype)
         digest.update(stem.encode() + b"\0" + arr.tobytes() + b"\0")
     space = compiled.address_space
@@ -86,17 +106,26 @@ def _digest(name: str) -> dict:
     }
 
 
+def _golden(path: Path, scale: float, digested) -> tuple:
+    current = {name: _digest(name, scale, digested)
+               for name in sorted(registry.WORKLOADS)}
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+    assert path.exists(), (
+        f"golden trace digests {path.name} missing — run with "
+        f"REPRO_REGEN_GOLDEN=1 to record them"
+    )
+    return json.loads(path.read_text()), current
+
+
 @pytest.fixture(scope="module")
 def golden():
-    current = {name: _digest(name) for name in sorted(registry.WORKLOADS)}
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        GOLDEN_PATH.write_text(
-            json.dumps(current, indent=2, sort_keys=True) + "\n")
-    assert GOLDEN_PATH.exists(), (
-        "golden trace digests missing — run with REPRO_REGEN_GOLDEN=1 to "
-        "record them"
-    )
-    return json.loads(GOLDEN_PATH.read_text()), current
+    return _golden(GOLDEN_PATH, SCALE, DIGESTED)
+
+
+@pytest.fixture(scope="module")
+def golden_sweep():
+    return _golden(SWEEP_GOLDEN_PATH, SWEEP_SCALE, SWEEP_DIGESTED)
 
 
 def test_every_workload_is_pinned(golden):
@@ -107,4 +136,15 @@ def test_every_workload_is_pinned(golden):
 @pytest.mark.parametrize("name", sorted(registry.WORKLOADS))
 def test_trace_digest_exact(golden, name):
     recorded, current = golden
+    assert current[name] == recorded[name]
+
+
+def test_every_workload_is_pinned_at_sweep_scale(golden_sweep):
+    recorded, _current = golden_sweep
+    assert sorted(recorded) == sorted(registry.WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(registry.WORKLOADS))
+def test_trace_digest_exact_at_sweep_scale(golden_sweep, name):
+    recorded, current = golden_sweep
     assert current[name] == recorded[name]
