@@ -28,10 +28,16 @@ from repro import (
 )
 from repro.analysis.report import format_table
 from repro.memsys.address_space import AddressSpace
-from repro.workloads.device import DeviceArray, TraceBuilder, warp_chunks
+from repro.workloads.device import (
+    WRITE,
+    DeviceArray,
+    TraceBuilder,
+    warp_lanes,
+    warp_schedule,
+    warp_slots,
+)
 
 N_CUS = 16
-LANES = 32
 
 
 def build_embedding_trace(
@@ -56,14 +62,19 @@ def build_embedding_trace(
     perm = rng.permutation(n_rows)
     rows = perm[np.searchsorted(cdf, rng.random(n_lookups))]
 
-    for cu, start, count in warp_chunks(n_lookups, N_CUS):
-        batch = rows[start:start + count]
+    # One warp per 32 lookups, dealt to the CUs round-robin; lane l of a
+    # warp handles lookup start + l.
+    cus, starts, counts = warp_schedule(n_lookups, N_CUS)
+    lookup = warp_lanes(starts, counts)
+    # Per warp, in program order: (lane addresses, live lanes, flags).
+    tb.emit_block(*warp_slots(cus, [
         # Load the indices (streaming, coalesced)...
-        tb.emit(cu, indices.addrs(range(start, start + count)))
+        (indices.addr_array(lookup), counts, 0),
         # ...gather one embedding row per lane (the divergent access)...
-        tb.emit(cu, table.addrs(batch * (row_bytes // 4)))
+        (table.addr_array(rows[lookup] * (row_bytes // 4)), counts, 0),
         # ...and store the pooled result.
-        tb.emit(cu, output.addrs(range(start, start + count)), is_write=True)
+        (output.addr_array(lookup), counts, WRITE),
+    ]))
 
     return tb.build("embedding_lookup", space, issue_interval=40.0,
                     suite="custom", high_bandwidth=True)

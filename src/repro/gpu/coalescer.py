@@ -104,11 +104,14 @@ def coalesce_arrays(lanes, lane_counts, line_size: int = DEFAULT_LINE_SIZE):
     the number of requests each instruction produced.
 
     Order matches :meth:`Coalescer.coalesce` exactly (distinct lines in
-    first-appearance order): a stable sort on (instruction, line) heads
-    each request's run of lanes with its first-appearing lane, and
-    sorting those heads by lane index restores first-appearance order,
-    because the lanes arrive in instruction order.  No Python dict is
-    built per instruction.
+    first-appearance order): one stable sort on (instruction, line)
+    heads each request's run of lanes with its first-appearing lane,
+    and marking those heads in lane order restores first-appearance
+    order, because the lanes arrive in instruction order.  The sort key
+    packs the pair into one int64, ``instruction * span + (line -
+    lowest line)``, where ``span`` is the input's range of lines; an
+    input too wide for that key is sorted on the two keys instead.  No
+    Python dict is built per instruction.
     """
     import numpy as np
 
@@ -125,13 +128,22 @@ def coalesce_arrays(lanes, lane_counts, line_size: int = DEFAULT_LINE_SIZE):
         return np.zeros(0, np.int64), np.zeros(n_insts, np.int64)
     inst_id = np.repeat(np.arange(n_insts, dtype=np.int64), lane_counts)
     lines = lanes // line_size
-    order = np.lexsort((lines, inst_id))  # stable: ties keep lane order
-    s_inst = inst_id[order]
-    s_line = lines[order]
+    low = int(lines.min())
+    span = int(lines.max()) - low + 1
     head = np.empty(lanes.size, dtype=bool)
     head[0] = True
-    head[1:] = (s_inst[1:] != s_inst[:-1]) | (s_line[1:] != s_line[:-1])
-    first = np.sort(order[head])
+    if n_insts * span <= 1 << 63:
+        key = inst_id * span + (lines - low)
+        order = np.argsort(key, kind="stable")  # stable: ties keep lane order
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+    else:
+        order = np.lexsort((lines, inst_id))
+        s_inst, s_line = inst_id[order], lines[order]
+        head[1:] = (s_inst[1:] != s_inst[:-1]) | (s_line[1:] != s_line[:-1])
+    is_first = np.zeros(lanes.size, dtype=bool)
+    is_first[order[head]] = True
+    first = np.flatnonzero(is_first)
     inst_req_counts = np.bincount(
         inst_id[first], minlength=n_insts).astype(np.int64)
     return lines[first], inst_req_counts

@@ -4,11 +4,15 @@ Workload generators in this package *run the actual algorithms* (BFS
 levels, PageRank sweeps, Floyd–Warshall updates, …) over data structures
 laid out in a simulated virtual address space, and record the per-lane
 addresses each warp-sized step would issue.  :class:`DeviceArray` is the
-layout piece (an array living in the address space); :class:`TraceBuilder`
-is the recording piece, which compiles what it records straight into a
-:class:`~repro.workloads.compiled.CompiledTrace`; :func:`warp_chunks` is
-the work distributor (block-cyclic warp scheduling over the CUs, as GPU
-runtimes do).
+layout piece (an array living in the address space; its
+:meth:`~DeviceArray.addr_array` turns an index array of any shape into
+lane addresses); :class:`TraceBuilder` is the recording piece, which
+takes whole blocks of instructions as NumPy arrays and compiles what it
+records straight into a :class:`~repro.workloads.compiled.CompiledTrace`;
+:func:`warp_schedule` is the work distributor (block-cyclic warp
+scheduling over the CUs, as GPU runtimes do), :func:`warp_lanes` lays a
+warp's lanes over its work items, and :func:`warp_slots` flattens the
+instructions every warp of a phase issues into one block.
 
 Trace *sampling*: real kernels execute millions of warps; the simulator
 is a Python model, so generators may emit only every ``sample``-th warp.
@@ -18,7 +22,7 @@ divergence) while bounding trace length; footprints are unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -29,11 +33,21 @@ from repro.workloads.compiled import CompiledTrace, compile_arrays
 __all__ = [
     "DeviceArray",
     "LANES",
+    "SCRATCH",
     "TraceBuilder",
-    "warp_chunks",
+    "WRITE",
+    "warp_lanes",
+    "warp_schedule",
+    "warp_slots",
 ]
 
 LANES = 32
+
+#: Instruction flag bits (a plain load has none).
+WRITE = 1
+SCRATCH = 2
+
+_NO_LANES = "a memory instruction needs at least one lane address"
 
 
 class DeviceArray:
@@ -65,29 +79,45 @@ class DeviceArray:
             raise IndexError(f"{self.name}[{index}] out of bounds ({self.n_elements})")
         return self.mapping.base_va + index * self.element_size
 
-    def addrs(self, indices: Iterable[int]) -> List[int]:
-        """Virtual byte addresses for a gather over ``indices``.
+    def addr_array(self, indices) -> np.ndarray:
+        """Virtual byte addresses of ``self[indices]``, as an int64 array.
 
-        One vectorized gather over an int64 view of ``indices`` (an
-        index array, list or ``range``); ``tolist()`` hands back plain
-        Python ints.
+        ``indices`` is an index array of any shape, a list or a
+        ``range``; the result has its shape.  One min/max bounds check
+        covers the whole call: an index outside the array raises
+        ``IndexError`` naming the array, as :meth:`addr` does.
         """
         if isinstance(indices, range):
             indices = np.arange(indices.start, indices.stop, indices.step)
-        return (np.asarray(indices, dtype=np.int64) * self.element_size
-                + self.mapping.base_va).tolist()
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size:
+            low, high = int(indices.min()), int(indices.max())
+            if low < 0 or high >= self.n_elements:
+                bad = low if low < 0 else high
+                raise IndexError(
+                    f"{self.name}[{bad}] out of bounds ({self.n_elements})")
+        return indices * self.element_size + self.mapping.base_va
+
+    def addrs(self, indices: Iterable[int]) -> List[int]:
+        """:meth:`addr_array` as a list of plain Python ints."""
+        return self.addr_array(indices).tolist()
 
 
 class TraceBuilder:
-    """Records per-CU memory-instruction streams as flat arrays.
+    """Records memory instructions as blocks of NumPy arrays.
 
-    Each CU keeps three flat lists — its lanes' addresses, each
-    instruction's lane count, and each instruction's flag (bit0 =
-    write, bit1 = scratchpad) — so recording builds no per-instruction
-    object.  :meth:`build` compiles them into a
-    :class:`~repro.workloads.compiled.CompiledTrace`, coalescing every
-    instruction in one vectorized pass; the trace keeps the coalesced
-    requests, not the lanes.
+    A block is four arrays: each instruction's CU id, lane count and
+    flags (bit0 = write, bit1 = scratchpad), and the instructions' lane
+    addresses concatenated.  Generators hand whole kernel phases to
+    :meth:`emit_block`; :meth:`emit`, :meth:`emit_scratch` and
+    :meth:`emit_scratch_burst` record one instruction at a time (hand-
+    built and synthetic traces) into the same emission-ordered record.
+    :meth:`build` groups the record by CU with one stable sort, so each
+    CU's instructions keep the order they were emitted in, and compiles
+    it into a :class:`~repro.workloads.compiled.CompiledTrace`,
+    coalescing every instruction in one vectorized pass; the trace
+    keeps the coalesced requests, not the lanes.  A CU id of ``n_cus``
+    or more wraps around.
     """
 
     def __init__(self, n_cus: int = 16, lanes: int = LANES) -> None:
@@ -95,34 +125,84 @@ class TraceBuilder:
             raise ValueError("need at least one CU")
         self.n_cus = n_cus
         self.lanes = lanes
-        self._lanes: List[List[int]] = [[] for _ in range(n_cus)]
-        self._lane_counts: List[List[int]] = [[] for _ in range(n_cus)]
-        self._flags: List[List[int]] = [[] for _ in range(n_cus)]
+        self._blocks: List[Tuple[np.ndarray, ...]] = []
+        # Instructions from the one-at-a-time calls, not yet in a block.
+        self._cus: List[int] = []
+        self._lane_counts: List[int] = []
+        self._flags: List[int] = []
+        self._lanes: List[int] = []
+
+    def emit_block(self, cus, lane_counts, flags, lanes) -> None:
+        """Record a block of instructions, in emission order.
+
+        ``cus``, ``lane_counts`` and ``flags`` hold one entry per
+        instruction; ``lanes`` concatenates their lane addresses.  A
+        scratchpad instruction (flag bit 1) has one lane, address 0.
+        """
+        lane_counts = np.asarray(lane_counts, dtype=np.int64)
+        cus = np.asarray(cus, dtype=np.int64)
+        flags = np.asarray(flags, dtype=np.int8)
+        lanes = np.asarray(lanes, dtype=np.int64)
+        if not cus.shape == flags.shape == lane_counts.shape:
+            raise ValueError("a block needs one CU id, lane count and flag "
+                             "per instruction")
+        if lane_counts.size and int(lane_counts.min()) <= 0:
+            raise ValueError(_NO_LANES)
+        if int(lane_counts.sum()) != lanes.size:
+            raise ValueError(
+                f"block holds {lanes.size} lane addresses but its lane "
+                f"counts claim {int(lane_counts.sum())}")
+        self._flush()
+        if cus.size:
+            self._blocks.append((cus % self.n_cus, lane_counts, flags, lanes))
 
     def emit(self, cu: int, addresses: Iterable[int], is_write: bool = False) -> None:
         """Record one global-memory instruction on ``cu``."""
-        cu %= self.n_cus
-        lanes = self._lanes[cu]
-        before = len(lanes)
-        lanes.extend(addresses)
-        if len(lanes) == before:
-            raise ValueError("a memory instruction needs at least one lane address")
-        self._lane_counts[cu].append(len(lanes) - before)
-        self._flags[cu].append(1 if is_write else 0)
+        before = len(self._lanes)
+        self._lanes.extend(addresses)
+        if len(self._lanes) == before:
+            raise ValueError(_NO_LANES)
+        self._record(cu, len(self._lanes) - before, WRITE if is_write else 0)
 
     def emit_scratch(self, cu: int, is_write: bool = False) -> None:
         """Record one scratchpad instruction (no TLB/cache traffic)."""
-        cu %= self.n_cus
-        self._lanes[cu].append(0)
-        self._lane_counts[cu].append(1)
-        self._flags[cu].append(3 if is_write else 2)
+        self._lanes.append(0)
+        self._record(cu, 1, SCRATCH | WRITE if is_write else SCRATCH)
 
     def emit_scratch_burst(self, cu: int, count: int) -> None:
         """Record ``count`` scratchpad instructions (tile compute phases)."""
-        cu %= self.n_cus
-        self._lanes[cu].extend([0] * count)
-        self._lane_counts[cu].extend([1] * count)
-        self._flags[cu].extend([2] * count)
+        for _ in range(count):
+            self.emit_scratch(cu)
+
+    def _record(self, cu: int, lane_count: int, flag: int) -> None:
+        self._cus.append(cu % self.n_cus)
+        self._lane_counts.append(lane_count)
+        self._flags.append(flag)
+
+    def _flush(self) -> None:
+        """Close the one-at-a-time instructions into a block."""
+        if self._cus:
+            self._blocks.append((np.asarray(self._cus, dtype=np.int64),
+                                 np.asarray(self._lane_counts, dtype=np.int64),
+                                 np.asarray(self._flags, dtype=np.int8),
+                                 np.asarray(self._lanes, dtype=np.int64)))
+            self._cus, self._lane_counts, self._flags, self._lanes = [], [], [], []
+
+    def record(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Everything recorded so far, in emission order, as one block.
+
+        Returns ``(cus, lane_counts, flags, lanes)`` (CU ids already
+        wrapped), the arrays :meth:`emit_block` takes.
+        """
+        self._flush()
+        if not self._blocks:
+            return (np.zeros(0, np.int64), np.zeros(0, np.int64),
+                    np.zeros(0, np.int8), np.zeros(0, np.int64))
+        if len(self._blocks) > 1:
+            # One block from here on; the parts are freed.
+            self._blocks = [tuple(np.concatenate(parts)
+                                  for parts in zip(*self._blocks))]
+        return self._blocks[0]
 
     def build(
         self,
@@ -131,50 +211,82 @@ class TraceBuilder:
         issue_interval: float,
         **metadata,
     ) -> CompiledTrace:
-        """Compile the recorded streams; CUs that recorded nothing are dropped."""
-        cus = [cu for cu in range(self.n_cus) if self._lane_counts[cu]]
-        if not cus:
+        """Compile the record; CUs that recorded nothing are dropped."""
+        cus, lane_counts, flags, lanes = self.record()
+        if not cus.size:
             raise ValueError(f"workload {name!r} produced an empty trace")
         if issue_interval <= 0:
             raise ValueError("issue interval must be positive")
-        cu_bounds = [0]
-        for cu in cus:
-            cu_bounds.append(cu_bounds[-1] + len(self._lane_counts[cu]))
-        return compile_arrays(
-            name, issue_interval, dict(metadata), space,
-            np.concatenate([np.asarray(self._lanes[cu], dtype=np.int64)
-                            for cu in cus]),
-            np.concatenate([np.asarray(self._lane_counts[cu], dtype=np.int64)
-                            for cu in cus]),
-            np.concatenate([np.asarray(self._flags[cu], dtype=np.int8)
-                            for cu in cus]),
-            cu_bounds,
-        )
+        per_cu = np.bincount(cus, minlength=self.n_cus)
+        cu_bounds = np.concatenate(([0], np.cumsum(per_cu[per_cu > 0])))
+        if bool(np.any(cus[1:] < cus[:-1])):
+            order = np.argsort(cus, kind="stable")
+            # Move each instruction's run of lanes along with it.
+            starts = np.cumsum(lane_counts) - lane_counts
+            lane_counts, flags = lane_counts[order], flags[order]
+            moved = starts[order] - (np.cumsum(lane_counts) - lane_counts)
+            lanes = lanes[np.repeat(moved, lane_counts)
+                          + np.arange(lanes.size, dtype=np.int64)]
+        return compile_arrays(name, issue_interval, dict(metadata), space,
+                              lanes, lane_counts, flags, cu_bounds)
 
 
-def warp_chunks(
+def warp_schedule(
     n_items: int,
     n_cus: int,
     lanes: int = LANES,
     sample: int = 1,
-) -> Iterator[Tuple[int, int, int]]:
-    """Block-cyclic warp scheduling: yield ``(cu, start, count)`` chunks.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block-cyclic warp scheduling: ``(cu, start, count)`` per warp.
 
     Work item ranges of ``lanes`` elements are dealt to CUs round-robin.
     With ``sample > 1`` only every ``sample``-th warp is emitted (trace
-    sampling; see the module docstring).
+    sampling; see the module docstring).  Returns three int64 arrays,
+    one entry per emitted warp, in issue order.
     """
-    if n_items <= 0:
-        return
     if sample <= 0:
         raise ValueError("sample must be positive")
-    warp = 0
-    emitted = 0
-    for start in range(0, n_items, lanes):
-        if warp % sample == 0:
-            count = min(lanes, n_items - start)
-            # Deal by *emitted* warp so sampling never starves CUs.
-            yield emitted % n_cus, start, count
-            emitted += 1
-        warp += 1
+    starts = np.arange(0, max(n_items, 0), lanes * sample, dtype=np.int64)
+    # Deal by *emitted* warp so sampling never starves CUs.
+    cus = np.arange(starts.size, dtype=np.int64) % n_cus
+    return cus, starts, np.minimum(lanes, n_items - starts)
 
+
+def warp_lanes(first, counts, lanes: int = LANES) -> np.ndarray:
+    """Each warp's lanes over consecutive items, as a ``(warps, lanes)`` array.
+
+    Lane ``l`` of warp ``w`` holds item ``first[w] + l`` while ``l <
+    counts[w]``; the dead lanes of a short warp hold item 0, which is in
+    bounds of every array.
+    """
+    lane = np.arange(lanes)
+    return np.where(lane < np.asarray(counts)[:, None],
+                    np.asarray(first)[:, None] + lane, 0)
+
+
+def warp_slots(cus, slots):
+    """Flatten a phase's per-warp instructions into one block.
+
+    ``slots`` lists the instructions every warp issues, in program
+    order, each as ``(lanes, lane_counts, flags)``: ``lanes`` holds
+    each warp's lane addresses, ``(warps, width)`` (a scalar or a
+    ``(warps, 1)`` column is the same address on every lane),
+    ``lane_counts`` how many of them are live per warp (0: the warp
+    does not issue this instruction), and ``flags`` its flags.
+    ``cus`` holds each warp's CU.  Returns :meth:`TraceBuilder.emit_block`'s
+    four arrays, warp by warp.
+    """
+    cus = np.asarray(cus, dtype=np.int64)
+    width = max(np.shape(lanes)[-1] if np.ndim(lanes) == 2 else 1
+                for lanes, _counts, _flags in slots)
+    shape = (cus.size, len(slots))
+    lanes = np.stack([np.broadcast_to(lanes, (cus.size, width))
+                      for lanes, _counts, _flags in slots], axis=1)
+    lane_counts = np.stack([np.broadcast_to(counts, cus.shape)
+                            for _lanes, counts, _flags in slots], axis=1)
+    flags = np.array([flags for _lanes, _counts, flags in slots], dtype=np.int8)
+    issued = lane_counts > 0
+    return (np.broadcast_to(cus[:, None], shape)[issued],
+            lane_counts[issued],
+            np.broadcast_to(flags, shape)[issued],
+            lanes[np.arange(width) < lane_counts[..., None]])

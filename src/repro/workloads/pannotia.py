@@ -23,7 +23,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.memsys.address_space import AddressSpace
-from repro.workloads.device import DeviceArray, TraceBuilder, warp_chunks
+from repro.workloads.device import (
+    SCRATCH,
+    WRITE,
+    DeviceArray,
+    TraceBuilder,
+    warp_lanes,
+    warp_schedule,
+    warp_slots,
+)
 from repro.workloads.graphs import (
     CSRGraph,
     edge_positions,
@@ -95,32 +103,52 @@ class _GraphKernel:
         scatter writes to neighbors; finally per-vertex result writes.
         ``edge_cap`` bounds edges traced per warp (hub truncation —
         trace sampling, not an algorithm change); ``edge_offset``
-        rotates which edges are kept across iterations.
+        rotates which edges are kept across iterations.  The sweep is
+        recorded as one block, built with array operations over all of
+        its sampled warps at once.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
         g = self.graph
-        for cu, start, count in warp_chunks(len(frontier), self.n_cus, sample=sample):
-            verts = frontier[start:start + count]
-            if frontier_array is not None:
-                self.tb.emit(cu, frontier_array.addrs(range(start, start + count)))
-            self.tb.emit(cu, self.row_arr.addrs(verts))
+        cus, starts, counts = warp_schedule(len(frontier), self.n_cus, sample=sample)
+        if not cus.size:
+            return
+        # Each warp lane's frontier position and vertex.
+        position = warp_lanes(starts, counts)
+        verts = frontier[position]
+        live = np.arange(LANES) < counts[:, None]
+        slots = []          # what every warp issues, in program order
+        if frontier_array is not None:
+            slots.append((frontier_array.addr_array(position), counts, 0))
+        slots.append((self.row_arr.addr_array(verts), counts, 0))
 
-            eps = edge_positions(g, verts)
-            if len(eps) > edge_cap:
-                # Even subsampling with a rotating phase: keeps the
-                # spread over the warp's edge ranges.
-                sel = (np.arange(edge_cap) * len(eps)) // edge_cap
-                eps = eps[(sel + edge_offset) % len(eps)]
-            for chunk_start in range(0, len(eps), LANES):
-                chunk = eps[chunk_start:chunk_start + LANES]
-                cols = g.col_idx[chunk]
-                self.tb.emit(cu, self.col_arr.addrs(chunk))
-                for arr in gathers:
-                    self.tb.emit(cu, arr.addrs(cols))
+        # A warp's edges are its vertices' edge ranges, in lane order.
+        n_edges = np.where(live, g.row_ptr[verts + 1] - g.row_ptr[verts], 0).sum(axis=1)
+        kept = np.minimum(n_edges, edge_cap)
+        width = -(-int(kept.max()) // LANES) * LANES
+        if width:
+            edges = edge_positions(g, verts[live])
+            j = np.arange(width)
+            # Over edge_cap edges: even subsampling with a rotating
+            # phase, which keeps the spread over the warp's edge ranges.
+            picked = np.where(
+                (n_edges > edge_cap)[:, None],
+                ((j * n_edges[:, None]) // edge_cap + edge_offset)
+                % np.maximum(n_edges, 1)[:, None],
+                j)
+            first_edge = np.cumsum(n_edges) - n_edges
+            eps = edges[np.where(j < kept[:, None], first_edge[:, None] + picked, 0)]
+            cols = g.col_idx[eps]
+            for chunk in range(0, width, LANES):
+                n_lanes = np.clip(kept - chunk, 0, LANES)
+                chunk_cols = cols[:, chunk:chunk + LANES]
+                slots.append((self.col_arr.addr_array(eps[:, chunk:chunk + LANES]),
+                              n_lanes, 0))
+                slots += [(arr.addr_array(chunk_cols), n_lanes, 0) for arr in gathers]
                 if scatter_writes is not None:
-                    self.tb.emit(cu, scatter_writes.addrs(cols), is_write=True)
-            if vertex_writes is not None:
-                self.tb.emit(cu, vertex_writes.addrs(verts), is_write=True)
+                    slots.append((scatter_writes.addr_array(chunk_cols), n_lanes, WRITE))
+        if vertex_writes is not None:
+            slots.append((vertex_writes.addr_array(verts), counts, WRITE))
+        self.tb.emit_block(*warp_slots(cus, slots))
 
     def build(self, name: str, issue_interval: float, **metadata) -> CompiledTrace:
         metadata.setdefault("suite", "pannotia")
@@ -160,16 +188,17 @@ def pagerank_spmv(scale: float = 1.0, seed: int = 1) -> CompiledTrace:
     x = k.prop("x")
     y = k.prop("y")
     val = DeviceArray(k.space, max(1, g.n_edges), 4, "values")
-    rows_of_edge = np.repeat(np.arange(g.n_vertices), g.out_degrees())
-    sample = 24
+    cus, starts, counts = warp_schedule(g.n_edges, k.n_cus, sample=24)
+    positions = warp_lanes(starts, counts)
+    cols = g.col_idx[positions]
+    rows = np.searchsorted(g.row_ptr, positions, side="right") - 1
     for _it in range(2):
-        for cu, start, count in warp_chunks(g.n_edges, k.n_cus, sample=sample):
-            positions = range(start, start + count)
-            cols = g.col_idx[start:start + count]
-            k.tb.emit(cu, k.col_arr.addrs(positions))       # streaming col_idx
-            k.tb.emit(cu, val.addrs(positions))             # streaming values
-            k.tb.emit(cu, x.addrs(cols))                    # divergent gather
-            k.tb.emit(cu, y.addrs(rows_of_edge[start:start + count]), is_write=True)
+        k.tb.emit_block(*warp_slots(cus, [
+            (k.col_arr.addr_array(positions), counts, 0),  # streaming col_idx
+            (val.addr_array(positions), counts, 0),        # streaming values
+            (x.addr_array(cols), counts, 0),               # divergent gather
+            (y.addr_array(rows), counts, WRITE),
+        ]))
         x, y = y, x
     return k.build("pagerank_spmv", issue_interval=37.0)
 
@@ -187,9 +216,8 @@ def _bfs_levels(graph: CSRGraph, source: int) -> List[np.ndarray]:
     level = 0
     while len(frontier):
         level += 1
-        eps = edge_positions(graph, frontier)
-        targets = np.unique(graph.col_idx[eps])
-        new = targets[dist[targets] < 0]
+        targets = graph.col_idx[edge_positions(graph, frontier)]
+        new = np.unique(targets[dist[targets] < 0])
         if len(new) == 0:
             break
         dist[new] = level
@@ -344,39 +372,33 @@ def fw(scale: float = 1.0, seed: int = 6) -> CompiledTrace:
     space = AddressSpace(asid=0)
     tb = TraceBuilder(n_cus=N_CUS)
     d = DeviceArray(space, n * n, 4, "dist")
-    row_bytes = n * 4
     k_steps = _scaled(4, scale, 2)
     rng = np.random.default_rng(seed)
     k_values = sorted(rng.choice(n, size=min(k_steps, n), replace=False))
-    sample = 32
+    cus, starts, counts = warp_schedule(n * n, N_CUS, sample=32)
+    # Lanes cover consecutive elements of one row (even steps) or one
+    # column (odd steps) of the matrix.
+    outer, first = np.divmod(starts, n)
+    n_lanes = np.minimum(counts, n - first)
+    inner = warp_lanes(first, n_lanes)
+    outer = outer[:, None]
     for step, kk in enumerate(k_values):
         kk = int(kk)
         if step % 2 == 0:
             # Row-parallel: for rows i, lanes cover consecutive j.
-            for cu, start, count in warp_chunks(n * n, N_CUS, sample=sample):
-                i, j0 = divmod(start, n)
-                count = min(count, n - j0)
-                base = d.base_va + i * row_bytes + j0 * 4
-                row_j = [base + c * 4 for c in range(count)]
-                k_row = [d.base_va + kk * row_bytes + (j0 + c) % n * 4
-                         for c in range(count)]
-                tb.emit(cu, row_j)                                   # d[i][j..]
-                tb.emit(cu, [d.base_va + i * row_bytes + kk * 4])    # d[i][k]
-                tb.emit(cu, k_row)                                   # d[k][j..]
-                tb.emit(cu, row_j, is_write=True)
+            row_j = d.addr_array(outer * n + inner)
+            slots = [(row_j, n_lanes, 0),                            # d[i][j..]
+                     (d.addr_array(outer * n + kk), 1, 0),           # d[i][k]
+                     (d.addr_array(kk * n + inner), n_lanes, 0),     # d[k][j..]
+                     (row_j, n_lanes, WRITE)]
         else:
             # Column-parallel: lanes cover consecutive i — one page each.
-            for cu, start, count in warp_chunks(n * n, N_CUS, sample=sample):
-                j, i0 = divmod(start, n)
-                count = min(count, n - i0)
-                col_i = [d.base_va + (i0 + c) * row_bytes + j * 4
-                         for c in range(count)]
-                col_k = [d.base_va + (i0 + c) * row_bytes + kk * 4
-                         for c in range(count)]
-                tb.emit(cu, col_i)                                   # d[i..][j]
-                tb.emit(cu, col_k)                                   # d[i..][k]
-                tb.emit(cu, [d.base_va + kk * row_bytes + j * 4])    # d[k][j]
-                tb.emit(cu, col_i, is_write=True)
+            col_i = d.addr_array(inner * n + outer)
+            slots = [(col_i, n_lanes, 0),                            # d[i..][j]
+                     (d.addr_array(inner * n + kk), n_lanes, 0),     # d[i..][k]
+                     (d.addr_array(kk * n + outer), 1, 0),           # d[k][j]
+                     (col_i, n_lanes, WRITE)]
+        tb.emit_block(*warp_slots(cus, slots))
     return tb.build("fw", space, issue_interval=10.0,
                     suite="pannotia", high_bandwidth=True, matrix_n=n)
 
@@ -387,44 +409,38 @@ def fw_block(scale: float = 1.0, seed: int = 7) -> CompiledTrace:
     space = AddressSpace(asid=0)
     tb = TraceBuilder(n_cus=N_CUS)
     d = DeviceArray(space, n * n, 4, "dist")
-    row_bytes = n * 4
     tiles = n // LANES
     rng = np.random.default_rng(seed)
     k_blocks = sorted(int(b) for b in rng.choice(
         tiles, size=min(_scaled(4, scale, 2), tiles), replace=False))
     tile_sample = 9
+    lane = np.arange(LANES)
 
-    def load_tile(cu: int, ti: int, tj: int, write: bool = False) -> None:
-        # 32 rows of a 32×32 tile; each row is one 128-byte line.
-        for r in range(LANES):
-            base = d.base_va + (ti * LANES + r) * row_bytes + tj * LANES * 4
-            tb.emit(cu, [base + c * 4 for c in range(LANES)], is_write=write)
+    def tile_ops(cus, ti, tj, burst: int) -> None:
+        # Per tile: load its 32 rows (one 128-byte line each), compute
+        # ``burst`` instructions in scratchpad, store the rows back.
+        rows = (ti[:, None] * LANES + lane)[:, :, None] * n
+        tile = d.addr_array(rows + (tj * LANES)[:, None, None] + lane)
+        tile = tile.reshape(len(cus), LANES * LANES)
+        lanes = np.concatenate(
+            [tile, np.zeros((len(cus), burst), np.int64), tile], axis=1)
+        lane_counts = [LANES] * LANES + [1] * burst + [LANES] * LANES
+        flags = [0] * LANES + [SCRATCH] * burst + [WRITE] * LANES
+        tb.emit_block(np.repeat(cus, len(flags)), np.tile(lane_counts, len(cus)),
+                      np.tile(flags, len(cus)), lanes.ravel())
 
+    t = np.arange(tiles)
+    ti, tj = (grid.ravel() for grid in np.meshgrid(t, t, indexing="ij"))
     for kb in k_blocks:
         # Phase 1: the pivot tile, computed in scratchpad.
-        load_tile(0, kb, kb)
-        tb.emit_scratch_burst(0, 32)
-        load_tile(0, kb, kb, write=True)
+        tile_ops(np.zeros(1, np.int64), np.array([kb]), np.array([kb]), 32)
         # Phase 2: pivot row and column panels.
-        for t in range(tiles):
-            cu = t % N_CUS
-            if t == kb:
-                continue
-            load_tile(cu, kb, t)
-            tb.emit_scratch_burst(cu, 16)
-            load_tile(cu, kb, t, write=True)
+        panel = t[t != kb]
+        tile_ops(panel % N_CUS, np.full(panel.size, kb), panel, 16)
         # Phase 3: sampled interior tiles.
-        counter = 0
-        for ti in range(tiles):
-            for tj in range(tiles):
-                if ti == kb or tj == kb:
-                    continue
-                counter += 1
-                if counter % tile_sample:
-                    continue
-                cu = counter % N_CUS
-                load_tile(cu, ti, tj)
-                tb.emit_scratch_burst(cu, 16)
-                load_tile(cu, ti, tj, write=True)
+        interior = (ti != kb) & (tj != kb)
+        counter = np.cumsum(interior)
+        picked = interior & (counter % tile_sample == 0)
+        tile_ops(counter[picked] % N_CUS, ti[picked], tj[picked], 16)
     return tb.build("fw_block", space, issue_interval=5.0,
                     suite="pannotia", high_bandwidth=True, matrix_n=n)

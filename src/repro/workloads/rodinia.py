@@ -17,7 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsys.address_space import AddressSpace
-from repro.workloads.device import DeviceArray, TraceBuilder, warp_chunks
+from repro.workloads.device import (
+    SCRATCH,
+    WRITE,
+    DeviceArray,
+    TraceBuilder,
+    warp_lanes,
+    warp_schedule,
+    warp_slots,
+)
 from repro.workloads.pannotia import _GraphKernel, _bfs_levels, _scaled
 from repro.workloads.compiled import CompiledTrace
 
@@ -68,19 +76,25 @@ def kmeans(scale: float = 1.0, seed: int = 11) -> CompiledTrace:
     centroids = DeviceArray(space, n_clusters * n_features, 4, "centroids")
     assignment = DeviceArray(space, n_points, 4, "assignment")
     rng = np.random.default_rng(seed)
+    cus, starts, counts = warp_schedule(n_points, N_CUS, sample=6)
+    point = warp_lanes(starts, counts)
+    features = np.empty((len(cus), 4), dtype=np.int64)
+    clusters = np.zeros((len(cus), LANES), dtype=np.int64)
     for _ in range(2):  # two Lloyd iterations
-        for cu, start, count in warp_chunks(n_points, N_CUS, sample=6):
-            # Each lane walks its point's features; emit a few sampled
-            # feature columns (stride = n_features elements per lane).
-            for f in rng.choice(n_features, size=4, replace=False):
-                tb.emit(cu, [
-                    points.addr((start + lane) * n_features + int(f))
-                    for lane in range(count)
-                ])
-            # Centroids are tiny and stay hot.
-            tb.emit(cu, [centroids.addr(int(c) * n_features)
-                         for c in rng.integers(0, n_clusters, size=4)])
-            tb.emit(cu, assignment.addrs(range(start, start + count)), is_write=True)
+        # Per warp, in the generator's draw order: 4 sampled feature
+        # columns, then the 4 centroids it reads.
+        for w in range(len(cus)):
+            features[w] = rng.choice(n_features, size=4, replace=False)
+            clusters[w, :4] = rng.integers(0, n_clusters, size=4)
+        # Each lane walks its point's features (stride = n_features
+        # elements per lane); centroids are tiny and stay hot.
+        tb.emit_block(*warp_slots(cus, [
+            (points.addr_array(point * n_features + f[:, None]), counts, 0)
+            for f in features.T
+        ] + [
+            (centroids.addr_array(clusters * n_features), 4, 0),
+            (assignment.addr_array(point), counts, WRITE),
+        ]))
     return tb.build("kmeans", space, issue_interval=56.0,
                     suite="rodinia", high_bandwidth=False)
 
@@ -95,17 +109,20 @@ def backprop(scale: float = 1.0, seed: int = 12) -> CompiledTrace:
     weights_t = DeviceArray(space, n_in * n_hidden, 4, "weights_t")
     input_v = DeviceArray(space, n_in, 4, "input")
     hidden_v = DeviceArray(space, n_hidden, 4, "hidden")
-    sample = 12
+    cus, starts, counts = warp_schedule(n_in * n_hidden, N_CUS, sample=12)
+    element = warp_lanes(starts, counts)
     # Forward: hidden[j] = sum_i w[i][j]*in[i]; stream rows coalesced.
-    for cu, start, count in warp_chunks(n_in * n_hidden, N_CUS, sample=sample):
-        tb.emit(cu, [weights.addr(start + c) for c in range(count)])
-        tb.emit(cu, [input_v.addr((start // n_hidden) % n_in)])
-        if start % (n_hidden * 8) == 0:
-            tb.emit(cu, hidden_v.addrs(range(min(count, n_hidden))), is_write=True)
+    tb.emit_block(*warp_slots(cus, [
+        (weights.addr_array(element), counts, 0),
+        (input_v.addr_array((starts // n_hidden) % n_in)[:, None], 1, 0),
+        (hidden_v.addr_array(np.arange(LANES)),
+         np.where(starts % (n_hidden * 8) == 0, np.minimum(counts, n_hidden), 0),
+         WRITE),
+    ]))
     # Backward: stream the (pre-transposed, Rodinia-style) weight matrix.
-    for cu, start, count in warp_chunks(n_in * n_hidden, N_CUS, sample=sample):
-        tb.emit(cu, [weights_t.addr(start + c) for c in range(count)])
-        tb.emit(cu, [weights_t.addr(start + c) for c in range(count)], is_write=True)
+    backward = weights_t.addr_array(element)
+    tb.emit_block(*warp_slots(cus, [(backward, counts, 0),
+                                    (backward, counts, WRITE)]))
     return tb.build("backprop", space, issue_interval=67.0,
                     suite="rodinia", high_bandwidth=False)
 
@@ -118,19 +135,22 @@ def hotspot(scale: float = 1.0, seed: int = 13) -> CompiledTrace:
     temp = DeviceArray(space, side * side, 4, "temp")
     power = DeviceArray(space, side * side, 4, "power")
     out = DeviceArray(space, side * side, 4, "temp_out")
-    sample = 12
+    cus, starts, counts = warp_schedule(side * side, N_CUS, sample=12)
+    row = (starts // side)[:, None]
+    seg = warp_lanes(starts, counts)
+    slots = [
+        (temp.addr_array(seg), counts, 0),
+        # Halo rows: the row above, then the row below, inside the grid.
+        (temp.addr_array(np.where(row > 0, seg - side, 0)),
+         np.where(row[:, 0] > 0, counts, 0), 0),
+        (temp.addr_array(np.where(row < side - 1, seg + side, 0)),
+         np.where(row[:, 0] < side - 1, counts, 0), 0),
+        (power.addr_array(seg), counts, 0),
+    ] + [(0, 1, SCRATCH)] * 4 + [
+        (out.addr_array(seg), counts, WRITE),
+    ]
     for _step in range(2):
-        for cu, start, count in warp_chunks(side * side, N_CUS, sample=sample):
-            row, col = divmod(start, side)
-            seg = range(start, start + count)
-            tb.emit(cu, temp.addrs(seg))
-            if row > 0:
-                tb.emit(cu, temp.addrs(range(start - side, start - side + count)))
-            if row < side - 1:
-                tb.emit(cu, temp.addrs(range(start + side, start + side + count)))
-            tb.emit(cu, power.addrs(seg))
-            tb.emit_scratch_burst(cu, 4)
-            tb.emit(cu, out.addrs(seg), is_write=True)
+        tb.emit_block(*warp_slots(cus, slots))
     return tb.build("hotspot", space, issue_interval=60.0,
                     suite="rodinia", high_bandwidth=False)
 
@@ -141,31 +161,29 @@ def lud(scale: float = 1.0, seed: int = 14) -> CompiledTrace:
     space = AddressSpace(asid=0)
     tb = TraceBuilder(n_cus=N_CUS)
     a = DeviceArray(space, n * n, 4, "matrix")
-    row_bytes = n * 4
     rng = np.random.default_rng(seed)
     k_steps = sorted(rng.choice(n - LANES, size=_scaled(12, scale, 3), replace=False))
-    interior_sample = 8
     for kk in k_steps:
+        kk = int(kk)
         span = n - kk
+        cus, starts, counts = warp_schedule(span, N_CUS)
+        offset = kk + warp_lanes(starts, counts)
         # Perimeter row k (coalesced) ...
-        for cu, start, count in warp_chunks(span, N_CUS):
-            base = a.base_va + kk * row_bytes + (kk + start) * 4
-            tb.emit(cu, [base + c * 4 for c in range(count)])
+        tb.emit_block(*warp_slots(cus, [(a.addr_array(kk * n + offset), counts, 0)]))
         # ... and perimeter column k: one page per lane (divergent).
-        for cu, start, count in warp_chunks(span, N_CUS):
-            col = [a.base_va + (kk + start + c) * row_bytes + kk * 4
-                   for c in range(count)]
-            tb.emit(cu, col)
-            tb.emit(cu, col, is_write=True)
+        col = a.addr_array(offset * n + kk)
+        tb.emit_block(*warp_slots(cus, [(col, counts, 0), (col, counts, WRITE)]))
         # Trailing submatrix update, sampled, row-major coalesced.
-        for cu, start, count in warp_chunks(span * span, N_CUS, sample=interior_sample):
-            i, j = divmod(start, span)
-            count = min(count, span - j)
-            base = a.base_va + (kk + i) * row_bytes + (kk + j) * 4
-            seg = [base + c * 4 for c in range(count)]
-            tb.emit(cu, seg)
-            tb.emit(cu, [a.base_va + (kk + i) * row_bytes + kk * 4])
-            tb.emit(cu, seg, is_write=True)
+        cus, starts, counts = warp_schedule(span * span, N_CUS, sample=8)
+        i, j = np.divmod(starts, span)
+        counts = np.minimum(counts, span - j)
+        row = (kk + i) * n
+        seg = a.addr_array(row[:, None] + kk + warp_lanes(j, counts))
+        tb.emit_block(*warp_slots(cus, [
+            (seg, counts, 0),
+            (a.addr_array(row + kk)[:, None], 1, 0),
+            (seg, counts, WRITE),
+        ]))
     return tb.build("lud", space, issue_interval=13.0,
                     suite="rodinia", high_bandwidth=True, matrix_n=n)
 
@@ -183,29 +201,29 @@ def nw(scale: float = 1.0, seed: int = 15) -> CompiledTrace:
     tb = TraceBuilder(n_cus=N_CUS)
     score = DeviceArray(space, n * n, 4, "score")
     ref = DeviceArray(space, n * n, 4, "reference")
-    row_bytes = n * 4
     tiles = n // LANES
     diag_sample = 2
-
-    def tile_io(cu: int, ti: int, tj: int, array: DeviceArray, write: bool) -> None:
-        for r in range(0, LANES, 4):  # sampled rows of the tile
-            base = array.base_va + (ti * LANES + r) * row_bytes + tj * LANES * 4
-            tb.emit(cu, [base + c * 4 for c in range(LANES)], is_write=write)
-
-    tile_counter = 0
-    for diag in range(0, 2 * tiles - 1, diag_sample):
-        for ti in range(tiles):
-            tj = diag - ti
-            if not 0 <= tj < tiles:
-                continue
-            # Deal tiles to CUs by emission order (a sampled diagonal
-            # would otherwise always hash to the same CU parity).
-            cu = tile_counter % N_CUS
-            tile_counter += 1
-            tile_io(cu, ti, tj, score, write=False)
-            tile_io(cu, ti, tj, ref, write=False)
-            tb.emit_scratch_burst(cu, 64)
-            tile_io(cu, ti, tj, score, write=True)
+    # Tiles in wavefront order: sampled diagonals, each by tile row.
+    diag, ti = np.meshgrid(np.arange(0, 2 * tiles - 1, diag_sample),
+                           np.arange(tiles), indexing="ij")
+    tj = diag - ti
+    inside = (tj >= 0) & (tj < tiles)
+    ti, tj = ti[inside], tj[inside]
+    # Deal tiles to CUs by emission order (a sampled diagonal would
+    # otherwise always hash to the same CU parity).
+    cus = np.arange(ti.size) % N_CUS
+    # Sampled rows of each tile (every 4th), 32 lanes each.
+    rows = ti[:, None] * LANES + np.arange(0, LANES, 4)
+    index = (rows * n + (tj * LANES)[:, None])[:, :, None] + np.arange(LANES)
+    score_io = score.addr_array(index).reshape(ti.size, -1)
+    burst = 64
+    lanes = np.concatenate([score_io, ref.addr_array(index).reshape(ti.size, -1),
+                            np.zeros((ti.size, burst), np.int64), score_io], axis=1)
+    rows_io = LANES // 4
+    lane_counts = [LANES] * (2 * rows_io) + [1] * burst + [LANES] * rows_io
+    flags = [0] * (2 * rows_io) + [SCRATCH] * burst + [WRITE] * rows_io
+    tb.emit_block(np.repeat(cus, len(flags)), np.tile(lane_counts, ti.size),
+                  np.tile(flags, ti.size), lanes.ravel())
     return tb.build("nw", space, issue_interval=9.0,
                     suite="rodinia", high_bandwidth=False, matrix_n=n)
 
@@ -218,16 +236,15 @@ def pathfinder(scale: float = 1.0, seed: int = 16) -> CompiledTrace:
     tb = TraceBuilder(n_cus=N_CUS)
     wall = DeviceArray(space, width * 2, 4, "wall_rows")  # double buffer
     result = DeviceArray(space, width, 4, "result")
-    sample = 16
+    cus, starts, counts = warp_schedule(width, N_CUS, sample=16)
+    column = warp_lanes(starts, counts)
     for row in range(n_rows):
         src_off = (row % 2) * width
         dst_off = ((row + 1) % 2) * width
-        for cu, start, count in warp_chunks(width, N_CUS, sample=sample):
-            tb.emit(cu, wall.addrs(range(src_off + start, src_off + start + count)))
-            tb.emit_scratch_burst(cu, 6)
-            tb.emit(cu, wall.addrs(range(dst_off + start, dst_off + start + count)),
-                    is_write=True)
-    for cu, start, count in warp_chunks(width, N_CUS, sample=sample):
-        tb.emit(cu, result.addrs(range(start, start + count)), is_write=True)
+        tb.emit_block(*warp_slots(
+            cus, [(wall.addr_array(src_off + column), counts, 0)]
+            + [(0, 1, SCRATCH)] * 6
+            + [(wall.addr_array(dst_off + column), counts, WRITE)]))
+    tb.emit_block(*warp_slots(cus, [(result.addr_array(column), counts, WRITE)]))
     return tb.build("pathfinder", space, issue_interval=14.0,
                     suite="rodinia", high_bandwidth=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from repro.memsys.address_space import AddressSpace
@@ -71,20 +72,24 @@ def compile_streams(
 
 
 def recorded_streams(builder: TraceBuilder):
-    """A :class:`TraceBuilder`'s per-CU streams, flattened in CU order.
+    """A :class:`TraceBuilder`'s record, grouped by CU.
 
-    Returns the lists ``(lanes, lane_counts, flags, cu_bounds)`` that
-    ``build`` hands :func:`compile_arrays`.  CUs that recorded nothing
-    are left out, as ``build`` leaves them out; the bounds are each kept
-    CU's first instruction plus the total.
+    Returns the arrays ``(lanes, lane_counts, flags, cu_bounds)`` that
+    ``build`` hands :func:`compile_arrays`: CU by CU, each CU's
+    instructions in the order they were emitted.  CUs that recorded
+    nothing are left out, as ``build`` leaves them out; the bounds are
+    each kept CU's first instruction plus the total.  The grouping is
+    one mask per CU, not ``build``'s sort.
     """
-    cus = [cu for cu in range(builder.n_cus) if builder._lane_counts[cu]]
-    bounds = [0]
-    for cu in cus:
-        bounds.append(bounds[-1] + len(builder._lane_counts[cu]))
-    return ([a for cu in cus for a in builder._lanes[cu]],
-            [n for cu in cus for n in builder._lane_counts[cu]],
-            [f for cu in cus for f in builder._flags[cu]],
+    cus, lane_counts, flags, lanes = builder.record()
+    lane_cus = np.repeat(cus, lane_counts)
+    kept = [cu for cu in range(builder.n_cus) if np.any(cus == cu)]
+
+    def by_cu(values, cu_of):
+        return np.concatenate([values[cu_of == cu] for cu in kept] or [values])
+
+    bounds = np.cumsum([0] + [np.count_nonzero(cus == cu) for cu in kept])
+    return (by_cu(lanes, lane_cus), by_cu(lane_counts, cus), by_cu(flags, cus),
             bounds)
 
 

@@ -87,6 +87,27 @@ class TestCoalesceArrays:
                     pos += 1
             assert pos == len(req_line)
 
+    def test_wide_line_range_matches_coalescer(self):
+        # The packed sort key is instruction * span + (line - lowest
+        # line), with span = 2**62 here.  Five instructions need more
+        # than int64 holds (wrapped, instruction 4's key for a line
+        # would equal instruction 0's), so the two keys are sorted
+        # instead; two fill int64 exactly.  Both must coalesce as the
+        # dict Coalescer does.
+        top = (1 << 62) - 1
+        wide = [[0, top, 5, 0], [1], [2, top], [3], [top, 0, 7, top]]
+        exact = [[top, 0, top, 1], [0, top, 2, 0]]
+        for insts, fits in ((wide, False), (exact, True)):
+            span = max(map(max, insts)) - min(map(min, insts)) + 1
+            assert (len(insts) * span <= 1 << 63) == fits
+            lanes = [a for inst in insts for a in inst]
+            req_line, per_inst = coalesce_arrays(
+                lanes, [len(inst) for inst in insts], 1)
+            reference = [Coalescer(line_size=1).coalesce(inst) for inst in insts]
+            assert per_inst.tolist() == [len(reqs) for reqs in reference]
+            assert req_line.tolist() == [r.line_addr for reqs in reference
+                                         for r in reqs]
+
     def test_first_appearance_order_preserved(self):
         # Lanes revisit line 0 after line 5: request order must be 5, 0.
         req_line, per_inst = coalesce_arrays(
@@ -179,7 +200,7 @@ class TestCompiledTrace:
         tb.emit(4, [128, 0, 132])                 # CU 4 wraps to CU 0
         recorded = recorded_streams(tb)
         # CUs 1 and 3 recorded nothing and are dropped.
-        assert recorded == ([0, 64, 4, 8192, 0, 128, 0, 132,
+        assert tuple(array.tolist() for array in recorded) == ([0, 64, 4, 8192, 0, 128, 0, 132,
                              4096, 4100, 0, 0, 0],
                             [4, 1, 3, 2, 1, 1, 1],
                             [0, WRITE | SCRATCH, 0, WRITE, SCRATCH, SCRATCH,

@@ -25,7 +25,7 @@ class TestSynonymStress:
         with recording_builds() as recorded:
             synonym_stress(n_pages=8, n_accesses=200,
                            synonym_fraction=0.0, seed=4)
-        lanes = recorded[0][0]
+        lanes = recorded[0][0].tolist()
         assert lanes
         region_pages = {a // 4096 for a in lanes}
         assert len(region_pages) <= 8
