@@ -455,8 +455,10 @@ class Frontend:
         if record is None:
             raise ProtocolError(404, protocol.ERROR_NOT_FOUND,
                                 f"unknown job {job_id!r}")
+        # The job's own trace id (its submit's), not this poll's.
         payload = {key: record[key] for key in
-                   ("job_id", "status", "n_points", "submitted_unix")}
+                   ("job_id", "status", "n_points", "submitted_unix",
+                    "trace_id")}
         if record["status"] != "running":
             payload["result"] = record["result"]
             payload["completed_unix"] = record["completed_unix"]

@@ -170,12 +170,8 @@ def test_restart_replay_is_idempotent(tmp_path):
             with ServiceClient(service.host, service.port) as client:
                 client.wait("job-unfinished", timeout=120.0)
                 # Raw replies: ServiceClient.poll drops completed_unix.
-                # Every reply's trace_id is its own request's.
-                replies = {}
-                for job_id in job_ids:
-                    reply = client._request("GET", f"/v1/jobs/{job_id}")
-                    reply.pop("trace_id")
-                    replies[job_id] = reply
+                replies = {job_id: client._request("GET", f"/v1/jobs/{job_id}")
+                           for job_id in job_ids}
                 simulations = client.healthz().simulations_run
         finally:
             service.shutdown()
@@ -185,6 +181,9 @@ def test_restart_replay_is_idempotent(tmp_path):
     assert [first[job_id]["status"] for job_id in job_ids] == [
         "done", "done", "failed"]
     assert all("completed_unix" in reply for reply in first.values())
+    # Each reply carries its job's journaled trace id.
+    assert [first[job_id]["trace_id"] for job_id in job_ids] == [
+        "trace-done", "trace-unfinished", "trace-bad"]
     settled = path.read_bytes()
     second, simulations = restart()
     assert second == first

@@ -252,6 +252,18 @@ def test_job_submit_poll_fetch(client):
     assert client.poll(job_id).status == "done"
 
 
+def test_job_polls_carry_the_submits_trace_id(client):
+    # A poll reports on the job, so its trace id is the one the job's
+    # spans carry (the submit's), not the poll's own fresh one.
+    submitted = client._request("POST", "/v1/jobs", {"points": [POINT]},
+                                idempotent=False)
+    polls = [client._request("GET", f"/v1/jobs/{submitted['job_id']}")
+             for _ in range(2)]
+    assert [poll["trace_id"] for poll in polls] == [submitted["trace_id"]] * 2
+    assert client.last_trace_id != submitted["trace_id"]
+    client.wait(submitted["job_id"], timeout=120)
+
+
 def test_unknown_job_is_404(client):
     with pytest.raises(ServiceError) as exc:
         client.poll("not-a-job")
