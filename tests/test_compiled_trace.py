@@ -200,12 +200,11 @@ class TestCompiledTrace:
         tb.emit(4, [128, 0, 132])                 # CU 4 wraps to CU 0
         recorded = recorded_streams(tb)
         # CUs 1 and 3 recorded nothing and are dropped.
-        assert tuple(array.tolist() for array in recorded) == ([0, 64, 4, 8192, 0, 128, 0, 132,
-                             4096, 4100, 0, 0, 0],
-                            [4, 1, 3, 2, 1, 1, 1],
-                            [0, WRITE | SCRATCH, 0, WRITE, SCRATCH, SCRATCH,
-                             SCRATCH],
-                            [0, 3, 7])
+        assert tuple(array.tolist() for array in recorded) == (
+            [0, 64, 4, 8192, 0, 128, 0, 132, 4096, 4100, 0, 0, 0],
+            [4, 1, 3, 2, 1, 1, 1],
+            [0, WRITE | SCRATCH, 0, WRITE, SCRATCH, SCRATCH, SCRATCH],
+            [0, 3, 7])
         built = tb.build("mix", space, issue_interval=3.0, suite="test")
         scratch = ((0,), SCRATCH)
         hand = compile_streams(

@@ -138,7 +138,6 @@ class TestTraceBuilder:
         assert trace.coalesced_per_cu()[3] == [0, 1, 2]
         assert trace.coalesced_per_cu()[0] == [4096 // trace.line_size, 0]
 
-
     def test_block_validation(self):
         tb = TraceBuilder(n_cus=2)
         with pytest.raises(ValueError, match="lane address"):
