@@ -204,6 +204,8 @@ def test_block_and_scalar_recording_agree(n_cus, steps, zero_lane_at):
             # A zero-lane instruction is rejected and records nothing.
             with pytest.raises(ValueError, match="lane address"):
                 mixed.emit_block([0, 1], [1, 0], [0, 0], [64])
+            with pytest.raises(ValueError, match="lane address"):
+                mixed.emit(1, [])
         if kind == "emit":
             cu, lanes, is_write = args
             mixed.emit(cu, lanes, is_write)
