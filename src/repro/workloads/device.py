@@ -219,14 +219,13 @@ class TraceBuilder:
             raise ValueError("issue interval must be positive")
         per_cu = np.bincount(cus, minlength=self.n_cus)
         cu_bounds = np.concatenate(([0], np.cumsum(per_cu[per_cu > 0])))
-        if bool(np.any(cus[1:] < cus[:-1])):
-            order = np.argsort(cus, kind="stable")
-            # Move each instruction's run of lanes along with it.
-            starts = np.cumsum(lane_counts) - lane_counts
-            lane_counts, flags = lane_counts[order], flags[order]
-            moved = starts[order] - (np.cumsum(lane_counts) - lane_counts)
-            lanes = lanes[np.repeat(moved, lane_counts)
-                          + np.arange(lanes.size, dtype=np.int64)]
+        order = np.argsort(cus, kind="stable")
+        # Move each instruction's run of lanes along with it.
+        starts = np.cumsum(lane_counts) - lane_counts
+        lane_counts, flags = lane_counts[order], flags[order]
+        moved = starts[order] - (np.cumsum(lane_counts) - lane_counts)
+        lanes = lanes[np.repeat(moved, lane_counts)
+                      + np.arange(lanes.size, dtype=np.int64)]
         return compile_arrays(name, issue_interval, dict(metadata), space,
                               lanes, lane_counts, flags, cu_bounds)
 
@@ -256,12 +255,13 @@ def warp_lanes(first, counts, lanes: int = LANES) -> np.ndarray:
     """Each warp's lanes over consecutive items, as a ``(warps, lanes)`` array.
 
     Lane ``l`` of warp ``w`` holds item ``first[w] + l`` while ``l <
-    counts[w]``; the dead lanes of a short warp hold item 0, which is in
-    bounds of every array.
+    counts[w]``; the dead lanes of a short warp hold its first item, so
+    an index map that is in bounds on a warp's live lanes is in bounds
+    on its dead ones too.
     """
+    first = np.asarray(first)[:, None]
     lane = np.arange(lanes)
-    return np.where(lane < np.asarray(counts)[:, None],
-                    np.asarray(first)[:, None] + lane, 0)
+    return np.where(lane < np.asarray(counts)[:, None], first + lane, first)
 
 
 def warp_slots(cus, slots):

@@ -421,13 +421,10 @@ def fw_block(scale: float = 1.0, seed: int = 7) -> CompiledTrace:
         # ``burst`` instructions in scratchpad, store the rows back.
         rows = (ti[:, None] * LANES + lane)[:, :, None] * n
         tile = d.addr_array(rows + (tj * LANES)[:, None, None] + lane)
-        tile = tile.reshape(len(cus), LANES * LANES)
-        lanes = np.concatenate(
-            [tile, np.zeros((len(cus), burst), np.int64), tile], axis=1)
-        lane_counts = [LANES] * LANES + [1] * burst + [LANES] * LANES
-        flags = [0] * LANES + [SCRATCH] * burst + [WRITE] * LANES
-        tb.emit_block(np.repeat(cus, len(flags)), np.tile(lane_counts, len(cus)),
-                      np.tile(flags, len(cus)), lanes.ravel())
+        tile_rows = tile.transpose(1, 0, 2)
+        tb.emit_block(*warp_slots(cus, [(row, LANES, 0) for row in tile_rows]
+                                  + [(0, 1, SCRATCH)] * burst
+                                  + [(row, LANES, WRITE) for row in tile_rows]))
 
     t = np.arange(tiles)
     ti, tj = (grid.ravel() for grid in np.meshgrid(t, t, indexing="ij"))

@@ -130,21 +130,23 @@ def backprop(scale: float = 1.0, seed: int = 12) -> CompiledTrace:
 def hotspot(scale: float = 1.0, seed: int = 13) -> CompiledTrace:
     """Thermal stencil over a 2-D grid with scratchpad tiling."""
     side = _scaled(1024, min(1.0, scale), 256)
+    n = side * side
     space = AddressSpace(asid=0)
     tb = TraceBuilder(n_cus=N_CUS)
-    temp = DeviceArray(space, side * side, 4, "temp")
-    power = DeviceArray(space, side * side, 4, "power")
-    out = DeviceArray(space, side * side, 4, "temp_out")
-    cus, starts, counts = warp_schedule(side * side, N_CUS, sample=12)
-    row = (starts // side)[:, None]
+    temp = DeviceArray(space, n, 4, "temp")
+    power = DeviceArray(space, n, 4, "power")
+    out = DeviceArray(space, n, 4, "temp_out")
+    cus, starts, counts = warp_schedule(n, N_CUS, sample=12)
     seg = warp_lanes(starts, counts)
+    # Halo rows: the row above for warps past the first row, then the
+    # row below, cut off where a warp runs into the last row.  Indices
+    # are clamped to the grid only on lanes the counts leave out.
+    above = np.where(starts >= side, counts, 0)
+    below = np.clip(n - side - starts, 0, counts)
     slots = [
         (temp.addr_array(seg), counts, 0),
-        # Halo rows: the row above, then the row below, inside the grid.
-        (temp.addr_array(np.where(row > 0, seg - side, 0)),
-         np.where(row[:, 0] > 0, counts, 0), 0),
-        (temp.addr_array(np.where(row < side - 1, seg + side, 0)),
-         np.where(row[:, 0] < side - 1, counts, 0), 0),
+        (temp.addr_array(np.maximum(seg - side, 0)), above, 0),
+        (temp.addr_array(np.minimum(seg + side, n - 1)), below, 0),
         (power.addr_array(seg), counts, 0),
     ] + [(0, 1, SCRATCH)] * 4 + [
         (out.addr_array(seg), counts, WRITE),
@@ -215,15 +217,12 @@ def nw(scale: float = 1.0, seed: int = 15) -> CompiledTrace:
     # Sampled rows of each tile (every 4th), 32 lanes each.
     rows = ti[:, None] * LANES + np.arange(0, LANES, 4)
     index = (rows * n + (tj * LANES)[:, None])[:, :, None] + np.arange(LANES)
-    score_io = score.addr_array(index).reshape(ti.size, -1)
-    burst = 64
-    lanes = np.concatenate([score_io, ref.addr_array(index).reshape(ti.size, -1),
-                            np.zeros((ti.size, burst), np.int64), score_io], axis=1)
-    rows_io = LANES // 4
-    lane_counts = [LANES] * (2 * rows_io) + [1] * burst + [LANES] * rows_io
-    flags = [0] * (2 * rows_io) + [SCRATCH] * burst + [WRITE] * rows_io
-    tb.emit_block(np.repeat(cus, len(flags)), np.tile(lane_counts, ti.size),
-                  np.tile(flags, ti.size), lanes.ravel())
+    score_rows = score.addr_array(index).transpose(1, 0, 2)
+    ref_rows = ref.addr_array(index).transpose(1, 0, 2)
+    tb.emit_block(*warp_slots(cus, [(row, LANES, 0) for row in score_rows]
+                              + [(row, LANES, 0) for row in ref_rows]
+                              + [(0, 1, SCRATCH)] * 64
+                              + [(row, LANES, WRITE) for row in score_rows]))
     return tb.build("nw", space, issue_interval=9.0,
                     suite="rodinia", high_bandwidth=False, matrix_n=n)
 

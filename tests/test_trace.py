@@ -163,9 +163,9 @@ class TestTraceBuilder:
         assert flags.tolist() == [0, WRITE, SCRATCH, 0, SCRATCH]
         assert flat.tolist() == [0, 1, 2, 3, 100, 101, 0, 4, 5, 6, 0]
 
-    def test_warp_lanes_park_dead_lanes_on_item_zero(self):
+    def test_warp_lanes_park_dead_lanes_on_the_first_item(self):
         items = warp_lanes(np.array([64, 96]), np.array([4, 2]), lanes=4)
-        assert items.tolist() == [[64, 65, 66, 67], [96, 97, 0, 0]]
+        assert items.tolist() == [[64, 65, 66, 67], [96, 97, 96, 96]]
 
 
 #: One recorded step: ("emit", cu, lanes, is_write), ("scratch", cu,

@@ -8,8 +8,10 @@ the benchmarks check the calibrated behaviour.
 import numpy as np
 import pytest
 
+from repro.memsys.address_space import AddressSpace
 from repro.memsys.addressing import PAGE_SIZE
 from repro.workloads import registry
+from repro.workloads.device import DeviceArray, TraceBuilder
 from repro.workloads.registry import (
     HIGH_BANDWIDTH,
     LOW_BANDWIDTH,
@@ -19,7 +21,7 @@ from repro.workloads.registry import (
     load,
 )
 
-from tests.conftest import load_recorded
+from tests.conftest import load_recorded, recorded_streams
 
 TINY = 0.05
 
@@ -161,3 +163,35 @@ class TestWorkloadCharacter:
     def test_writes_present(self):
         trace = load("mis", scale=TINY)
         assert np.any(trace._inst_flags & 1)
+
+
+def _hotspot_per_lane(side: int):
+    """hotspot's record, built one lane address at a time."""
+    n = side * side
+    space = AddressSpace(asid=0)
+    tb = TraceBuilder(n_cus=16)
+    temp, power, out = (DeviceArray(space, n, 4, name)
+                        for name in ("temp", "power", "temp_out"))
+    for _step in range(2):
+        for warp, start in enumerate(range(0, n, 32 * 12)):
+            cu = warp % 16
+            seg = range(start, min(start + 32, n))
+            tb.emit(cu, [temp.addr(i) for i in seg])
+            if start >= side:
+                tb.emit(cu, [temp.addr(i - side) for i in seg])
+            if start < n - side:
+                tb.emit(cu, [temp.addr(i + side) for i in seg if i + side < n])
+            tb.emit(cu, [power.addr(i) for i in seg])
+            tb.emit_scratch_burst(cu, 4)
+            tb.emit(cu, [out.addr(i) for i in seg], is_write=True)
+    return recorded_streams(tb)
+
+
+@pytest.mark.parametrize("scale, side", [(0.251, 257), (0.374, 382)])
+def test_hotspot_lanes_match_a_per_lane_build(scale, side):
+    # Side 257 ends on a one-lane warp.  At side 382 the last warp has
+    # 4 lanes, and one warp starting in row 380 runs into row 381,
+    # whose row below lies outside the grid.
+    _trace, streams = load_recorded("hotspot", scale)
+    for got, want in zip(streams, _hotspot_per_lane(side)):
+        assert np.array_equal(got, want)
